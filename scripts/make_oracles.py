@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from udortho.geometry import builtin, hull_measure
+from udortho.geometry import builtin, projection_measure
 from udortho.orthogonal import random_ortho_batch
 
 ORACLE_N = 1_000_000
@@ -33,24 +33,13 @@ TARGETS = [
 
 
 def baseline_mean(label: str, n: int, k: int) -> float:
-    poly = builtin(label)
-    verts = poly.vertices
-    d = n - k
+    measure = projection_measure(builtin(label).vertices, k)
     rng = np.random.default_rng(ORACLE_SEED)
     chunk_sums: list[float] = []
     done = 0
     while done < ORACLE_N:
         m = min(CHUNK, ORACLE_N - done)
-        frames = random_ortho_batch(n, m, rng)
-        bases = frames[:, :, k:]
-        if d == 1:
-            proj = np.einsum("vi,mi->mv", verts, bases[:, :, 0])
-            vals = proj.max(axis=1) - proj.min(axis=1)
-            chunk_sums.append(math.fsum(vals.tolist()))
-        else:
-            chunk_sums.append(
-                math.fsum(hull_measure(verts @ bases[i]) for i in range(m))
-            )
+        chunk_sums.append(math.fsum(measure(random_ortho_batch(n, m, rng)).tolist()))
         done += m
     return math.fsum(chunk_sums) / ORACLE_N
 

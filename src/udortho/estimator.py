@@ -23,7 +23,7 @@ from .geometry import (
     Polytope,
     crofton_constant,
     cube_mean_projection_length_4d,
-    hull_measure,
+    projection_measure,
     simplex_mean_projection_area,
 )
 from .orthogonal import (
@@ -34,6 +34,9 @@ from .orthogonal import (
 )
 
 MODES = ("random", "qmc", "qmc-noveech")
+
+# Frames measured per call of the projection measure in `run()`.
+BLOCK = 512
 
 
 @dataclass
@@ -114,33 +117,41 @@ class ConvergenceTrace:
 def run(spec: ExperimentSpec) -> ConvergenceTrace:
     """Estimate the subspace average of the projection volume.
 
-    Evaluations are accumulated with compensated summation in index order,
-    so the trace is a pure function of the spec.
+    Frames come from one `random_ortho_batch` call, or from the sequence
+    index by index, and are measured BLOCK at a time by the body's
+    `projection_measure`, so temporaries do not grow with N.  The values are
+    accumulated with compensated summation one by one in index order, so
+    the trace is a pure function of the spec and does not depend on BLOCK.
     """
-    verts = spec.polytope.vertices
-    k = spec.k
+    n, N = spec.n, spec.N
+    measure = projection_measure(spec.polytope.vertices, spec.k)
     seq: OrthoSequence | None = None
     if spec.mode == "random":
         rng = np.random.default_rng(spec.seed)
-        frames = random_ortho_batch(spec.n, spec.N, rng)
-        bases = (frames[m, :, k:] for m in range(spec.N))
+        frames = random_ortho_batch(n, N, rng)
+        blocks = (frames[lo : lo + BLOCK] for lo in range(0, N, BLOCK))
     else:
         seq = OrthoSequence(spec.ortho_spec())
-        bases = (seq._level(spec.n, m)[:, k:] for m in range(1, spec.N + 1))
+        blocks = (
+            np.stack([seq._level(n, m) for m in range(lo + 1, min(lo + BLOCK, N) + 1)])
+            for lo in range(0, N, BLOCK)
+        )
     trace_set = set(spec.trace_points)
     points: list[tuple[int, float]] = []
     total = 0.0
     comp = 0.0
-    for m, basis in enumerate(bases, start=1):
-        f = hull_measure(verts @ basis)
-        y = f - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if m in trace_set:
-            points.append((m, total / m))
-    final = points[-1][1] if points and points[-1][0] == spec.N else total / spec.N
-    c = crofton_constant(spec.n, spec.k)
+    m = 0
+    for block in blocks:
+        for f in measure(block).tolist():
+            m += 1
+            y = f - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            if m in trace_set:
+                points.append((m, total / m))
+    final = points[-1][1] if points and points[-1][0] == N else total / N
+    c = crofton_constant(n, spec.k)
     return ConvergenceTrace(
         spec=spec,
         points=tuple(points),
@@ -192,9 +203,16 @@ class ComparisonReport:
 
 
 def compare(specs: list[ExperimentSpec], reference: float) -> ComparisonReport:
-    """Run several modes on the same body and tabulate against a reference."""
+    """Run several modes on the same body and tabulate against a reference.
+
+    Results are keyed by mode, so each mode may appear only once.
+    """
     if not specs:
         raise ValueError("need at least one experiment spec")
+    modes = [s.mode for s in specs]
+    repeated = sorted({mode for mode in modes if modes.count(mode) > 1})
+    if repeated:
+        raise ValueError(f"each mode may appear once; repeated: {', '.join(repeated)}")
     first = specs[0]
     for s in specs[1:]:
         if (s.n, s.k) != (first.n, first.k):

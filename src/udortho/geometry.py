@@ -1,9 +1,12 @@
 """Polytopes, orthogonal projections, hull measures, and Crofton constants.
 
 The estimation pipeline only ever needs the d-dimensional volume of a
-projected vertex cloud for d <= 3, so the measures here stop at interval
-length, polygon area, and polyhedron volume.  Degenerate (flat) inputs are
-legal everywhere and measure zero.
+projected vertex cloud for d <= 3.  `hull_measure` gives it for one cloud:
+interval length for d = 1, qhull's hull volume for d = 2 and 3.  Flat
+inputs are legal and measure zero; any other qhull failure raises.
+`projection_measure` gives it for a block of frames at once, in closed form
+where one exists (widths for d = 1, Cauchy's facet sum for d = n - 1) and
+through `hull_measure` otherwise.
 """
 
 from __future__ import annotations
@@ -11,15 +14,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
-from math import comb, gamma, pi, sqrt
+from math import comb, factorial, gamma, pi, sqrt
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .grassmann import Subspace
 
-# Cross products below 1e-12 x (coordinate scale)^2 count as collinear.
+# Relative tolerance of the rank test in `_is_flat`.
 _FLAT_REL_TOL = 1e-12
 
 BUILTIN_LABELS = ("3-cube", "3-simplex", "k-icosahedron", "4-cube", "4-simplex")
@@ -130,63 +134,87 @@ def project(p: Polytope, sub: Subspace | np.ndarray) -> np.ndarray:
     return p.vertices @ basis
 
 
-def _cross(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _hull_2d(pts: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Monotone-chain hull vertices in counterclockwise order."""
-    lower: list[np.ndarray] = []
-    for q in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], q) <= tol:
-            lower.pop()
-        lower.append(q)
-    upper: list[np.ndarray] = []
-    for q in pts[::-1]:
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], q) <= tol:
-            upper.pop()
-        upper.append(q)
-    return lower[:-1] + upper[:-1]
-
-
-def _area_2d(pts: np.ndarray) -> float:
-    pts = np.unique(pts, axis=0)
-    if pts.shape[0] < 3:
-        return 0.0
-    scale = max(1.0, float(np.abs(pts).max()))
-    hull = _hull_2d(pts, _FLAT_REL_TOL * scale * scale)
-    if len(hull) < 3:
-        return 0.0
-    acc = 0.0
-    for p, q in zip(hull, hull[1:] + hull[:1]):
-        acc += p[0] * q[1] - q[0] * p[1]
-    return abs(acc) / 2.0
-
-
-def _volume_3d(pts: np.ndarray) -> float:
-    pts = np.unique(pts, axis=0)
-    if pts.shape[0] < 4:
-        return 0.0
-    try:
-        return float(ConvexHull(pts).volume)
-    except QhullError:
-        # flat or lower-dimensional input
-        return 0.0
+def _is_flat(pts: np.ndarray) -> bool:
+    """Whether the cloud spans fewer than pts.shape[1] dimensions: its d-th
+    centred singular value is at most _FLAT_REL_TOL times its largest."""
+    d = pts.shape[1]
+    s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    return s.size < d or s[d - 1] <= _FLAT_REL_TOL * s[0]
 
 
 def hull_measure(pts: np.ndarray) -> float:
-    """d-volume of the convex hull of a point cloud, d = pts.shape[1] in 1..3."""
+    """d-volume of the convex hull of a point cloud, d = pts.shape[1] in 1..3.
+
+    d = 1 is the length max - min; d = 2 and 3 take qhull's hull volume.  A
+    flat cloud (rank below d, see `_is_flat`) measures 0.0; a `QhullError`
+    on a cloud of full rank is a real failure and propagates.
+    """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2:
         raise ValueError(f"points must be a (count, d) array, got shape {pts.shape}")
     d = pts.shape[1]
     if d == 1:
         return float(pts.max() - pts.min())
-    if d == 2:
-        return _area_2d(pts)
-    if d == 3:
-        return _volume_3d(pts)
-    raise ValueError(f"hull measures are implemented for d in 1..3, got {d}")
+    if d not in (2, 3):
+        raise ValueError(f"hull measures are implemented for d in 1..3, got {d}")
+    # rows in lexicographic order: the result does not depend on the input order
+    pts = pts[np.lexsort(pts.T[::-1])]
+    if pts.shape[0] <= d:
+        return 0.0
+    try:
+        return float(ConvexHull(pts).volume)
+    except QhullError:
+        if _is_flat(pts):
+            return 0.0
+        raise
+
+
+def projection_measure(vertices: np.ndarray, k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Batched shadow measure of K = conv(vertices) in R^n.
+
+    Returns a function mapping a block of frames g, shape (B, n, n), to the
+    B values vol_d(K | span g[:, k:]), d = n - k, each equal to
+    `hull_measure(vertices @ g[:, k:])`.  The evaluation is chosen here, once:
+
+    - d = 1: the width max - min of the vertices along g[:, k];
+    - d = n - 1 with K full-dimensional: Cauchy's projection formula
+      vol(K | u_perp) = 1/2 sum_F vol(F) |<n_F, u>|, u = g[:, 0], over the
+      simplicial facets F of one qhull hull of K, so a block costs one
+      (facets x n) x (n x B) product;
+    - otherwise, (4, 2) and flat bodies among them: `hull_measure` per frame.
+    """
+    verts = np.asarray(vertices, dtype=float)
+    n = verts.shape[1]
+    d = n - k
+    if not 0 <= k < n or d > 3:
+        raise ValueError(f"need 0 <= k < n and n - k <= 3, got n={n}, k={k}")
+
+    if d == 1:
+        def width(frames: np.ndarray) -> np.ndarray:
+            proj = verts @ frames[:, :, k].T
+            return proj.max(axis=0) - proj.min(axis=0)
+
+        return width
+
+    if k == 1 and not _is_flat(verts):
+        facets = verts[ConvexHull(verts).simplices]
+        edges = facets[:, 1:] - facets[:, :1]
+        # vol(F) n_F is the generalized cross product of the edges / (n-1)!
+        area = np.stack(
+            [(-1) ** i * np.linalg.det(np.delete(edges, i, axis=2)) for i in range(n)],
+            axis=1,
+        ) / factorial(n - 1)
+
+        def cauchy(frames: np.ndarray) -> np.ndarray:
+            dots = np.abs(area @ frames[:, :, 0].T)
+            return 0.5 * dots.sum(axis=0)
+
+        return cauchy
+
+    def per_frame(frames: np.ndarray) -> np.ndarray:
+        return np.array([hull_measure(verts @ g[:, k:]) for g in frames])
+
+    return per_frame
 
 
 def ball_volume(j: int) -> float:

@@ -18,6 +18,7 @@ unused primes, so no 1-D coordinate stream is shared between levels.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterator
@@ -213,10 +214,14 @@ class OrthoSequence:
         self._z: dict[int, dict[int, np.ndarray]] = {i: {} for i in range(3, spec.n + 1)}
         self._x: dict[int, dict[int, np.ndarray]] = {i: {} for i in range(3, spec.n + 1)}
         self._w: dict[int, list[np.ndarray]] = {i: [] for i in range(3, spec.n + 1)}
+        # The generators reach the sequence through a weak reference: holding
+        # it strongly would put every sequence in a reference cycle, and its
+        # caches would outlive the last reference until a cyclic collection.
+        this = weakref.ref(self)
         self._wgen: dict[int, Iterator[np.ndarray]] = {
             i: udsg.generated(
-                (lambda lvl: lambda j: self._z_at(lvl, j))(i),
-                mul=self._checked_mul,
+                (lambda lvl: lambda j: this()._z_at(lvl, j))(i),
+                mul=lambda a, b: this()._checked_mul(a, b),
                 identity=np.eye(i),
                 spec=spec.generator,
             )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from udortho.estimator import (
+    BLOCK,
     ComparisonReport,
     ExperimentSpec,
     compare,
@@ -55,6 +56,26 @@ def test_partial_means_consistent():
     values = [hull_measure(cube.vertices @ seq.element(m)[:, 1:]) for m in range(1, 401)]
     for m, val in trace.points:
         assert val == pytest.approx(math.fsum(values[:m]) / m, abs=1e-13)
+
+
+@pytest.mark.parametrize("mode", ["random", "qmc"])
+def test_trace_across_block_boundary(mode):
+    # frames are measured BLOCK at a time; the running means on both sides
+    # of the first block boundary match per-sample hull measures summed exactly
+    cube = builtin("3-cube")
+    N = BLOCK + 1
+    for k in (1, 2):
+        spec = ExperimentSpec(cube, 3, k, N, mode, seed=9,
+                              trace_points=(1, BLOCK - 1, BLOCK, N))
+        trace = run(spec)
+        if mode == "random":
+            frames = random_ortho_batch(3, N, np.random.default_rng(9))
+        else:
+            frames = OrthoSequence(spec.ortho_spec()).take(N)
+        values = [hull_measure(cube.vertices @ g[:, k:]) for g in frames]
+        for m, val in trace.points:
+            assert val == pytest.approx(math.fsum(values[:m]) / m, rel=0, abs=1e-13)
+        assert trace.final == trace.value_at(N)
 
 
 def test_estimates_are_bounded():
@@ -161,6 +182,15 @@ def test_compare_validation():
             ],
             reference=1.0,
         )
+
+
+def test_compare_rejects_repeated_mode():
+    # results are keyed by mode: a repeated mode would silently drop a run
+    cube = builtin("3-cube")
+    specs = [ExperimentSpec(cube, 3, 1, 100, "random", seed=1),
+             ExperimentSpec(cube, 3, 1, 100, "random", seed=2)]
+    with pytest.raises(ValueError, match="random"):
+        compare(specs, reference=1.5)
 
 
 def test_reference_values():

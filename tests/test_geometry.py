@@ -16,10 +16,12 @@ from udortho.geometry import (
     load_polytope,
     polytope_to_dict,
     project,
+    projection_measure,
     random_spherical_polytope,
 )
+from udortho import geometry
 from udortho.grassmann import Subspace
-from udortho.orthogonal import coset_rep, random_ortho_batch
+from udortho.orthogonal import OrthoSequence, coset_rep, default_ortho_spec, random_ortho_batch
 
 KIRKMAN_EXPECTED = {
     tuple(v)
@@ -224,6 +226,21 @@ def test_hull_measure_degenerate_inputs():
     assert hull_measure(flat) == 0.0
 
 
+def test_hull_measure_qhull_error_on_full_rank_propagates(monkeypatch):
+    def failing_hull(pts):
+        raise geometry.QhullError("forced failure")
+
+    monkeypatch.setattr(geometry, "ConvexHull", failing_hull)
+    triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(geometry.QhullError):
+        hull_measure(triangle)
+    with pytest.raises(geometry.QhullError):
+        hull_measure(builtin("3-cube").vertices)
+    # a flat cloud still measures zero whatever qhull says
+    flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    assert hull_measure(flat) == 0.0
+
+
 grid_coord = st.integers(-80, 80).map(lambda v: v / 8.0)
 
 
@@ -286,6 +303,50 @@ def test_cauchy_cross_check():
         total += hull_measure(verts @ frames[i][:, 1:])
     mean = total / frames.shape[0]
     assert abs(mean - 1.5) / 1.5 < 0.01
+
+
+# ---------------------------------------------------------------- batched kernel
+
+
+def _kernel_bodies(n: int):
+    cube = builtin(f"{n}-cube").vertices
+    rng = np.random.default_rng(31 + n)
+    crowded = np.vstack([cube, cube[:5], np.full((1, n), 0.5),
+                         rng.uniform(0.2, 0.8, size=(10, n))])
+    bodies = {
+        "cube": cube,
+        "simplex": builtin(f"{n}-simplex").vertices,
+        "random-150": random_spherical_polytope(n, 150, seed=40 + n).vertices,
+        "duplicate-and-interior": crowded,
+    }
+    if n == 3:
+        # flat: no Cauchy facet sum, so k = 1 takes the per-sample path
+        bodies["flat-square"] = np.array(
+            [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
+        )
+    return bodies
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+@pytest.mark.parametrize("frames_from", ["random", "qmc"])
+def test_projection_measure_matches_hull_measure(n, k, frames_from):
+    count = 300
+    if frames_from == "random":
+        frames = random_ortho_batch(n, count, np.random.default_rng(7))
+    else:
+        frames = OrthoSequence(default_ortho_spec(n)).take(count)
+    for label, verts in _kernel_bodies(n).items():
+        got = projection_measure(verts, k)(frames)
+        want = np.array([hull_measure(verts @ g[:, k:]) for g in frames])
+        assert got.shape == (count,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=label)
+
+
+def test_projection_measure_validation():
+    with pytest.raises(ValueError):
+        projection_measure(builtin("4-cube").vertices, 0)  # d = 4
+    with pytest.raises(ValueError):
+        projection_measure(builtin("3-cube").vertices, 3)
 
 
 # ---------------------------------------------------------------- constants

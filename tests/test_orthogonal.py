@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -158,6 +161,21 @@ def test_streamed_equals_random_access():
         streamed = seq.take(500)
         for m in list(range(1, 51)) + [100, 250, 500]:
             assert np.array_equal(ortho_element(spec, m), streamed[m - 1])
+
+
+def test_sequence_freed_without_cyclic_collector():
+    # nothing refers back to the sequence, so dropping the last reference
+    # frees it and its caches at once, with the cyclic collector off
+    for veech in (True, False):
+        seq = OrthoSequence(default_ortho_spec(4, veech=veech))
+        seq.take(2000)
+        alive = weakref.ref(seq)
+        gc.disable()
+        try:
+            del seq
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 def test_first_column_hemisphere_balance():
