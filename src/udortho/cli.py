@@ -29,7 +29,7 @@ from .estimator import ExperimentSpec, compare, reference_value, run
 from .geometry import builtin, load_polytope, random_spherical_polytope
 from .grassmann import beta_k
 from .lowdisc import SequenceSpec
-from .orthogonal import OrthoSequence, default_ortho_spec, random_ortho
+from .orthogonal import OrthoSequence, default_ortho_spec, random_ortho_batch
 from .sphere import input_dims, sphere_points
 
 # Fixed seeds keep reproduce-tables byte-stable across runs.
@@ -199,14 +199,13 @@ def _gen_rows(args: argparse.Namespace):
         raise CliError(f"mode must be one of {sorted(GEN_MODES)}, got {mode!r}")
     seed = int(cfg.get("seed", 0))
     if GEN_MODES[mode] == "random":
-        rng = np.random.default_rng(seed)
-        frames = [random_ortho(n, rng) for _ in range(count)]
+        frames = random_ortho_batch(n, count, np.random.default_rng(seed))
     else:
         ospec = default_ortho_spec(
             n, kind=seq_kind, permutation_seed=pseed, skip=skip,
             veech=GEN_MODES[mode] == "qmc",
         )
-        frames = list(OrthoSequence(ospec).take(count))
+        frames = OrthoSequence(ospec).take(count)
 
     if kind == "ortho":
         header = ["m"] + [f"e{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]

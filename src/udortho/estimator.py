@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -27,6 +28,7 @@ from .geometry import (
     simplex_mean_projection_area,
 )
 from .orthogonal import (
+    BLOCK,
     OrthoSequence,
     OrthoSequenceSpec,
     default_ortho_spec,
@@ -34,9 +36,6 @@ from .orthogonal import (
 )
 
 MODES = ("random", "qmc", "qmc-noveech")
-
-# Frames measured per call of the projection measure in `run()`.
-BLOCK = 512
 
 
 @dataclass
@@ -107,21 +106,26 @@ class ConvergenceTrace:
     intrinsic: float
     repair_count: int = 0
 
+    @cached_property
+    def _values(self) -> dict[int, float]:
+        return dict(self.points)
+
     def value_at(self, m: int) -> float:
-        for mm, val in self.points:
-            if mm == m:
-                return val
-        raise KeyError(f"no trace point at m={m}")
+        try:
+            return self._values[m]
+        except KeyError:
+            raise KeyError(f"no trace point at m={m}") from None
 
 
 def run(spec: ExperimentSpec) -> ConvergenceTrace:
     """Estimate the subspace average of the projection volume.
 
     Frames come from one `random_ortho_batch` call, or from the sequence
-    index by index, and are measured BLOCK at a time by the body's
-    `projection_measure`, so temporaries do not grow with N.  The values are
-    accumulated with compensated summation one by one in index order, so
-    the trace is a pure function of the spec and does not depend on BLOCK.
+    one grid block of BLOCK at a time, and are measured BLOCK at a time by
+    the body's `projection_measure`, so quasi-random frames and temporaries
+    do not grow with N.  The values are accumulated with compensated
+    summation one by one in index order, so the trace is a pure function of
+    the spec and does not depend on BLOCK.
     """
     n, N = spec.n, spec.N
     measure = projection_measure(spec.polytope.vertices, spec.k)
@@ -132,10 +136,7 @@ def run(spec: ExperimentSpec) -> ConvergenceTrace:
         blocks = (frames[lo : lo + BLOCK] for lo in range(0, N, BLOCK))
     else:
         seq = OrthoSequence(spec.ortho_spec())
-        blocks = (
-            np.stack([seq._level(n, m) for m in range(lo + 1, min(lo + BLOCK, N) + 1)])
-            for lo in range(0, N, BLOCK)
-        )
+        blocks = (seq.frames(lo + 1, min(BLOCK, N - lo)) for lo in range(0, N, BLOCK))
     trace_set = set(spec.trace_points)
     points: list[tuple[int, float]] = []
     total = 0.0

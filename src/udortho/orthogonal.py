@@ -14,11 +14,20 @@ rate, since each level sees only the square root of the indices above it.
 Level layout of the default spec: the O(2) base consumes the 2-D sequence
 with bases (2, 3); the sphere feeding level i (i = 3..n) consumes the next
 unused primes, so no 1-D coordinate stream is shared between levels.
+
+Every step is computed a block of indices at a time.  Indices fall on a
+fixed grid of blocks of BLOCK (1..BLOCK, BLOCK+1..2 BLOCK, ...).  Without
+the generator step a frame depends on its index alone.  With it, the
+products of a block come from a log-depth doubling scan over the block's
+factors, started from the last product of the block before, so a frame is
+a pure function of (spec, index) however the sequence is read.  A sequence
+keeps, per level, its last block and a table of the factors z_r for the
+gaps r up to the largest it has met, so its memory does not grow with the
+number of frames read.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterator
@@ -26,21 +35,39 @@ from typing import Iterator
 import numpy as np
 
 from . import udsg
-from .lowdisc import SequenceSpec, first_primes, point_at
-from .sphere import input_dims, sphere_sequence
+from .lowdisc import SequenceSpec, first_primes, points
+from .sphere import input_dims, sphere_points
 
-# Re-orthonormalize an accumulated product only past this defect.
+# Indices per block of the sequence, and frames per block of `estimator.run`.
+BLOCK = 512
+
+# Re-orthonormalize a frame only past this defect.
 _REPAIR_TOL = 1e-10
 _UNIT_TOL = 1e-8
 _E1_TOL = 1e-12
+
+
+def _o2_batch(phi: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    c, s = np.cos(phi), np.sin(phi)
+    g = np.empty((c.size, 2, 2))
+    g[:, 0, 0] = c
+    g[:, 0, 1] = s
+    g[:, 1, 0] = -sign * s
+    g[:, 1, 1] = sign * c
+    return g
 
 
 def o2_matrix(phi: float, sign: int) -> np.ndarray:
     """2x2 orthogonal matrix with rotation angle `phi` and determinant `sign`."""
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, s], [-sign * s, sign * c]])
+    return _o2_batch(np.array([phi], dtype=float), np.array([sign], dtype=float))[0]
+
+
+def _o2_elements(spec: SequenceSpec, idx: np.ndarray) -> np.ndarray:
+    lo = int(idx.min())
+    u = points(spec, int(idx.max()) - lo + 1, lo)[idx - lo]
+    return _o2_batch(2.0 * np.pi * u[:, 0], np.where(u[:, 1] < 0.5, 1.0, -1.0))
 
 
 def o2_element(spec: SequenceSpec, m: int) -> np.ndarray:
@@ -51,9 +78,40 @@ def o2_element(spec: SequenceSpec, m: int) -> np.ndarray:
     """
     if spec.dims != 2:
         raise ValueError(f"the O(2) base needs a 2-D spec, got dims={spec.dims}")
-    u = point_at(spec, m)
-    sign = 1 if u[1] < 0.5 else -1
-    return o2_matrix(2.0 * np.pi * u[0], sign)
+    if m < 1:
+        raise ValueError(f"index must be >= 1, got {m}")
+    return _o2_elements(spec, np.array([m]))[0]
+
+
+def _reflections(x: np.ndarray) -> np.ndarray:
+    """I - 2 v v^T / (v^T v) with v = e_1 - x for each row x; I where x = e_1."""
+    count, n = x.shape
+    v = -x
+    v[:, 0] += 1.0
+    cc = np.einsum("mi,mi->m", v, v)
+    refl = np.broadcast_to(np.eye(n), (count, n, n)).copy()
+    ok = np.sqrt(cc) >= _E1_TOL
+    refl[ok] -= 2.0 * v[ok, :, None] * v[ok, None, :] / cc[ok, None, None]
+    return refl
+
+
+def _cosets(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """R(x) diag(1, h) for each row x of (count, n) and each h of (count, n-1, n-1)."""
+    count, n = x.shape
+    refl = _reflections(x)
+    emb = np.zeros((count, n, n))
+    emb[:, 0, 0] = 1.0
+    emb[:, 1:, 1:] = h
+    return refl @ emb
+
+
+def _unit_vector(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError(f"need a vector in R^n, n >= 2, got shape {x.shape}")
+    if abs(np.linalg.norm(x) - 1.0) > _UNIT_TOL:
+        raise ValueError("input is not a unit vector")
+    return x
 
 
 def coset_rep(x: np.ndarray) -> np.ndarray:
@@ -63,18 +121,7 @@ def coset_rep(x: np.ndarray) -> np.ndarray:
     with v = e_1 - x.  The result is symmetric, involutive, and has
     determinant -1 away from e_1.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError(f"need a vector in R^n, n >= 2, got shape {x.shape}")
-    if abs(np.linalg.norm(x) - 1.0) > _UNIT_TOL:
-        raise ValueError("input is not a unit vector")
-    n = x.size
-    v = -x.copy()
-    v[0] += 1.0
-    c = v @ v
-    if np.sqrt(c) < _E1_TOL:
-        return np.eye(n)
-    return np.eye(n) - np.outer(v, 2.0 * v / c)
+    return _reflections(_unit_vector(x)[None])[0]
 
 
 def convolution_index(m: int) -> tuple[int, int]:
@@ -93,10 +140,24 @@ def convolution_index(m: int) -> tuple[int, int]:
     return d // 2, k
 
 
-def _embed(h: np.ndarray) -> np.ndarray:
-    out = np.eye(h.shape[0] + 1)
-    out[1:, 1:] = h
-    return out
+def convolution_indices(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`convolution_index` over an array of flat indices, 1 <= m <= 9.2e18.
+
+    k - 1 = isqrt(m - 1) comes from a float square root, which can be one
+    off once m - 1 no longer fits a double exactly; one step each way
+    corrects it.  The bound keeps the squares of the corrected root within
+    int64.
+    """
+    m = np.asarray(m, dtype=np.int64)
+    if m.size and not (m.min() >= 1 and m.max() <= 92 * 10**17):
+        raise ValueError(f"indices must lie in 1..9.2e18, got {m.min()}..{m.max()}")
+    s = np.floor(np.sqrt((m - 1).astype(float))).astype(np.int64)
+    s -= s * s > m - 1
+    s += (s + 1) * (s + 1) <= m - 1
+    d = m - s * s
+    k = s + 1
+    odd = d % 2 == 1
+    return np.where(odd, k, d // 2), np.where(odd, (d + 1) // 2, k)
 
 
 def t_inverse(x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -105,7 +166,7 @@ def t_inverse(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     h (an (n-1)x(n-1) orthogonal matrix) is embedded as the block that fixes
     e_1; the result maps e_1 to x.
     """
-    x = np.asarray(x, dtype=float)
+    x = _unit_vector(x)
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"subgroup element must be square, got shape {h.shape}")
@@ -113,7 +174,7 @@ def t_inverse(x: np.ndarray, h: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: x in R^{x.size} vs subgroup of size {h.shape[0]}"
         )
-    return coset_rep(x) @ _embed(h)
+    return _cosets(x[None], h[None])[0]
 
 
 @dataclass(frozen=True)
@@ -181,107 +242,135 @@ def default_ortho_spec(
     )
 
 
-def _reorthonormalize(m: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt on the columns."""
-    q = m.copy()
-    for j in range(q.shape[1]):
-        for i in range(j):
-            q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
-        q[:, j] /= np.linalg.norm(q[:, j])
-    return q
+def _defects(w: np.ndarray) -> np.ndarray:
+    """max |W^T W - I| of each matrix of a (count, n, n) stack."""
+    return np.abs(w.transpose(0, 2, 1) @ w - np.eye(w.shape[-1])).max(axis=(1, 2))
 
 
 def orthogonality_defect(m: np.ndarray) -> float:
     """max |M^T M - I|."""
-    n = m.shape[0]
-    return float(np.abs(m.T @ m - np.eye(n)).max())
+    return float(_defects(np.asarray(m, dtype=float)[None])[0])
+
+
+def _repair(w: np.ndarray) -> int:
+    """Re-orthonormalize, in place, the frames of `w` with defect above
+    _REPAIR_TOL, and return how many there were.
+
+    A repaired frame is the Q of its QR decomposition with the columns
+    signed so that diag(R) > 0 (Mezzadri 2007), which is what Gram-Schmidt
+    on its columns gives; the sign of the determinant is kept.
+    """
+    bad = np.flatnonzero(_defects(w) > _REPAIR_TOL)
+    if bad.size:
+        q, r = np.linalg.qr(w[bad])
+        w[bad] = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return int(bad.size)
 
 
 class OrthoSequence:
     """Streaming view of the O(n) sequence defined by a spec.
 
-    `element(m)` is 1-based.  Streamed consumption is cheap: the per-level
-    interleaved elements and (with the generator step on) the cumulative
-    products are cached, so advancing by one element costs a constant number
-    of small matrix products.  Accumulated products whose orthogonality
-    defect ever exceeds 1e-10 are re-orthonormalized; `repair_count` says
-    how often that happened.
+    `frames(start, count)` reads any range (1-based) and `take`, `element`
+    and iteration are built on it.  Work is done a grid block of BLOCK
+    indices at a time.  With the generator step on, each level keeps its
+    last block, whose last product carries into the next one, its stream of
+    gap blocks, and the factors z_r for every gap r up to the largest met;
+    reading a block before its last one restarts the level from block 0.
+    Frames whose orthogonality defect exceeds 1e-10 are re-orthonormalized;
+    `repair_count` says how often that happened, counting a frame each time
+    it is computed.
     """
 
     def __init__(self, spec: OrthoSequenceSpec):
         self.spec = spec
         self.repair_count = 0
-        self._z: dict[int, dict[int, np.ndarray]] = {i: {} for i in range(3, spec.n + 1)}
-        self._x: dict[int, dict[int, np.ndarray]] = {i: {} for i in range(3, spec.n + 1)}
-        self._w: dict[int, list[np.ndarray]] = {i: [] for i in range(3, spec.n + 1)}
-        # The generators reach the sequence through a weak reference: holding
-        # it strongly would put every sequence in a reference cycle, and its
-        # caches would outlive the last reference until a cyclic collection.
-        this = weakref.ref(self)
-        self._wgen: dict[int, Iterator[np.ndarray]] = {
-            i: udsg.generated(
-                (lambda lvl: lambda j: this()._z_at(lvl, j))(i),
-                mul=lambda a, b: this()._checked_mul(a, b),
-                identity=np.eye(i),
-                spec=spec.generator,
-            )
-            for i in range(3, spec.n + 1)
-        }
+        # level -> (grid block j, its products, the gap blocks after j)
+        self._blocks: dict[int, tuple[int, np.ndarray, Iterator[np.ndarray]]] = {}
+        # level -> z_r at row r = 1, 2, ..., up to the largest gap met
+        self._z: dict[int, np.ndarray] = {}
+
+    def frames(self, start: int, count: int) -> np.ndarray:
+        """Elements start..start+count-1 stacked into a fresh (count, n, n) array."""
+        if start < 1:
+            raise ValueError(f"index must be >= 1, got {start}")
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        n = self.spec.n
+        out = np.empty((count, n, n))
+        lo, stop = start, start + count
+        while lo < stop:
+            hi = min(stop, ((lo - 1) // BLOCK + 1) * BLOCK + 1)
+            out[lo - start : hi - start] = self._at(n, np.arange(lo, hi, dtype=np.int64))
+            lo = hi
+        return out
 
     def element(self, m: int) -> np.ndarray:
         """The m-th matrix of the sequence (a fresh array)."""
-        if m < 1:
-            raise ValueError(f"index must be >= 1, got {m}")
-        return self._level(self.spec.n, m).copy()
+        return self.frames(m, 1)[0]
 
     def take(self, count: int) -> np.ndarray:
         """Elements 1..count stacked into a (count, n, n) array."""
-        return np.stack([self._level(self.spec.n, m) for m in range(1, count + 1)])
+        return self.frames(1, count)
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        m = 1
+        lo = 1
         while True:
-            yield self.element(m)
-            m += 1
+            yield from self.frames(lo, BLOCK)
+            lo += BLOCK
 
     def _level(self, lvl: int, m: int) -> np.ndarray:
+        # element m of level lvl; the benchmark's tracer binds this name
+        return self._at(lvl, np.array([m], dtype=np.int64))[0]
+
+    def _at(self, lvl: int, idx: np.ndarray) -> np.ndarray:
+        """Level `lvl` frames at the 1-based indices `idx`."""
         if lvl == 2:
-            return o2_element(self.spec.base_spec, m)
-        if self.spec.veech:
-            ws = self._w[lvl]
-            gen = self._wgen[lvl]
-            while len(ws) < m:
-                ws.append(next(gen))
-            return ws[m - 1]
-        return self._z_at(lvl, m)
+            return _o2_elements(self.spec.base_spec, idx)
+        if not self.spec.veech:
+            return self._checked(self._interleaved(lvl, idx))
+        out = np.empty((idx.size, lvl, lvl))
+        grid = (idx - 1) // BLOCK
+        for j in np.unique(grid):
+            sel = grid == j
+            out[sel] = self._veech_block(lvl, int(j))[(idx[sel] - 1) % BLOCK]
+        return out
 
-    def _z_at(self, lvl: int, j: int) -> np.ndarray:
-        cache = self._z[lvl]
-        z = cache.get(j)
-        if z is None:
-            a, b = convolution_index(j)
-            x = self._sphere_at(lvl, a)
-            h = self._level(lvl - 1, b)
-            z = self._checked(t_inverse(x, h))
-            cache[j] = z
-        return z
+    def _interleaved(self, lvl: int, idx: np.ndarray) -> np.ndarray:
+        """The interleaved elements R(x_a) diag(1, h_b), (a, b) the pairs of idx."""
+        a, b = convolution_indices(idx)
+        lo = int(a.min())
+        x = sphere_points(lvl, self.spec.sphere_specs[lvl - 3], int(a.max()) - lo + 1, lo)
+        sub, inverse = np.unique(b, return_inverse=True)
+        return _cosets(x[a - lo], self._at(lvl - 1, sub)[inverse])
 
-    def _sphere_at(self, lvl: int, a: int) -> np.ndarray:
-        cache = self._x[lvl]
-        x = cache.get(a)
-        if x is None:
-            x = sphere_sequence(lvl, self.spec.sphere_specs[lvl - 3], a)
-            cache[a] = x
-        return x
+    def _veech_block(self, lvl: int, j: int) -> np.ndarray:
+        """Products w_m of level `lvl` for m in grid block j."""
+        done, w, gaps = self._blocks.get(lvl, (-1, None, None))
+        if gaps is None or j < done:
+            done, w, gaps = -1, None, udsg.gap_blocks(self.spec.generator, BLOCK)
+        while done < j:
+            done += 1
+            r = next(gaps)
+            p = self._z_table(lvl, int(r.max()))[r]
+            step = 1
+            while step < BLOCK:
+                p[step:] = p[:-step] @ p[step:]
+                step *= 2
+            w = self._checked(p if w is None else w[-1] @ p)
+        self._blocks[lvl] = (done, w, gaps)
+        return w
 
-    def _checked_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._checked(a @ b)
+    def _z_table(self, lvl: int, top: int) -> np.ndarray:
+        """The factors z_r = R(x_a) diag(1, h_b) at row r, for r up to `top`."""
+        table = self._z.get(lvl, np.full((1, lvl, lvl), np.nan))
+        if table.shape[0] <= top:
+            new = self._checked(self._interleaved(lvl, np.arange(table.shape[0], top + 1)))
+            table = self._z[lvl] = np.concatenate([table, new])
+        return table
 
-    def _checked(self, m: np.ndarray) -> np.ndarray:
-        if orthogonality_defect(m) > _REPAIR_TOL:
-            self.repair_count += 1
-            return _reorthonormalize(m)
-        return m
+    def _checked(self, w: np.ndarray) -> np.ndarray:
+        self.repair_count += _repair(w)
+        return w
 
 
 def ortho_element(spec: OrthoSequenceSpec, m: int) -> np.ndarray:
@@ -290,29 +379,15 @@ def ortho_element(spec: OrthoSequenceSpec, m: int) -> np.ndarray:
 
 
 def random_ortho(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed random element of O(n) by the subgroup recursion.
-
-    Uniform angle and fair sign for the O(2) base, then one normalized
-    Gaussian direction per level composed through `t_inverse`.
-    """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    g = o2_matrix(rng.uniform(0.0, 2.0 * np.pi), 1 if rng.random() < 0.5 else -1)
-    for lvl in range(3, n + 1):
-        x = rng.standard_normal(lvl)
-        norm = np.linalg.norm(x)
-        while norm < 1e-12:
-            x = rng.standard_normal(lvl)
-            norm = np.linalg.norm(x)
-        g = t_inverse(x / norm, g)
-    return g
+    """Haar-distributed random element of O(n): `random_ortho_batch` of one."""
+    return random_ortho_batch(n, 1, rng)[0]
 
 
 def random_ortho_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """`count` independent Haar draws stacked into (count, n, n).
 
-    Same recursion as `random_ortho`, vectorized over the batch (the stream
-    of rng draws differs from repeated single draws).
+    Uniform angle and fair sign for the O(2) base, then one normalized
+    Gaussian direction per level composed as R(x) diag(1, g).
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -320,23 +395,9 @@ def random_ortho_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarr
         raise ValueError(f"count must be >= 0, got {count}")
     phi = rng.uniform(0.0, 2.0 * np.pi, size=count)
     sign = np.where(rng.random(count) < 0.5, 1.0, -1.0)
-    c, s = np.cos(phi), np.sin(phi)
-    g = np.zeros((count, 2, 2))
-    g[:, 0, 0] = c
-    g[:, 0, 1] = s
-    g[:, 1, 0] = -sign * s
-    g[:, 1, 1] = sign * c
+    g = _o2_batch(phi, sign)
     for lvl in range(3, n + 1):
         x = rng.standard_normal((count, lvl))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        v = -x
-        v[:, 0] += 1.0
-        cc = np.einsum("mi,mi->m", v, v)
-        refl = np.broadcast_to(np.eye(lvl), (count, lvl, lvl)).copy()
-        ok = np.sqrt(cc) >= _E1_TOL
-        refl[ok] -= 2.0 * v[ok, :, None] * v[ok, None, :] / cc[ok, None, None]
-        emb = np.zeros((count, lvl, lvl))
-        emb[:, 0, 0] = 1.0
-        emb[:, 1:, 1:] = g
-        g = refl @ emb
+        g = _cosets(x, g)
     return g

@@ -6,6 +6,10 @@ r_1 = q_1 - 1, r_m = q_m - q_{m-1}, and the cumulative products
 w_m = z_{r_1} z_{r_2} ... z_{r_m} equidistribute in any compact group,
 provided the source sequence (z_j) is not trapped in a proper closed
 subgroup.
+
+`r_stream` and `generated` walk the digits one at a time and define the
+sequence; `gap_blocks` gives the same gaps as int64 arrays for the
+block-vectorized O(n) sequence.
 """
 
 from __future__ import annotations
@@ -14,7 +18,12 @@ from dataclasses import dataclass
 from itertools import count, islice
 from typing import Callable, Iterator, TypeVar
 
+import numpy as np
+
 T = TypeVar("T")
+
+# Champernowne integers turned into digits per vectorized step of `gap_blocks`.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -104,6 +113,43 @@ def r_sequence(spec: GeneratorSpec, count: int) -> list[int]:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     return list(islice(r_stream(spec), count))
+
+
+def gap_blocks(spec: GeneratorSpec, size: int) -> Iterator[np.ndarray]:
+    """The gaps of `r_stream`, as consecutive int64 arrays of `size` gaps each.
+
+    Digits are read _CHUNK integers at a time: the integers of one digit
+    length form a (count, k) array of digits, and the positions of the
+    target digit in it are the occurrences.  Gaps are counted from position
+    1, which drops an occurrence there as `r_stream` does.
+    """
+    if spec.base != 10:
+        raise ValueError("only the base-10 Champernowne digit source is available")
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    pending = np.empty(0, dtype=np.int64)
+    prev = 1  # position of the last occurrence
+    read = 0  # digits read so far
+    number = 1  # next integer to read
+    while True:
+        parts = [pending]
+        have = pending.size
+        while have < size:
+            k = len(str(number))
+            stop = min(number + _CHUNK, 10**k)
+            powers = 10 ** np.arange(k - 1, -1, -1, dtype=np.int64)
+            digits = np.arange(number, stop, dtype=np.int64)[:, None] // powers % 10
+            q = read + 1 + np.flatnonzero(digits.ravel() == spec.target_digit)
+            q = q[q > 1]
+            if q.size:
+                parts.append(np.diff(q, prepend=prev))
+                prev = int(q[-1])
+                have += q.size
+            read += digits.size
+            number = stop
+        pending = np.concatenate(parts)
+        yield pending[:size].copy()
+        pending = pending[size:]
 
 
 def generated(

@@ -5,7 +5,7 @@ import pytest
 
 from udortho.cli import main
 from udortho.geometry import builtin, polytope_to_dict
-from udortho.orthogonal import orthogonality_defect
+from udortho.orthogonal import orthogonality_defect, random_ortho_batch
 
 
 def run_cli(capsys, argv):
@@ -51,6 +51,18 @@ def test_gen_ortho_modes(capsys):
         assert len(rows) == 2
         g = np.array([float(c) for c in rows[1][1:]]).reshape(3, 3)
         assert orthogonality_defect(g) < 1e-10
+
+
+def test_gen_random_is_the_batch_of_estimate(capsys):
+    # gen --mode random --seed s draws the frames that estimate's random mode
+    # draws with seed s: one random_ortho_batch call
+    rc, out, _ = run_cli(
+        capsys, ["gen", "ortho", "--n", "4", "--count", "50", "--mode", "random", "--seed", "11"]
+    )
+    assert rc == 0
+    _, rows = parse_csv(out)
+    got = np.array([[float(c) for c in row[1:]] for row in rows]).reshape(50, 4, 4)
+    assert np.array_equal(got, random_ortho_batch(4, 50, np.random.default_rng(11)))
 
 
 def test_gen_grassmann(capsys):

@@ -56,6 +56,9 @@ def test_partial_means_consistent():
     values = [hull_measure(cube.vertices @ seq.element(m)[:, 1:]) for m in range(1, 401)]
     for m, val in trace.points:
         assert val == pytest.approx(math.fsum(values[:m]) / m, abs=1e-13)
+        assert trace.value_at(m) == val
+    with pytest.raises(KeyError, match="m=51"):
+        trace.value_at(51)
 
 
 @pytest.mark.parametrize("mode", ["random", "qmc"])

@@ -1,16 +1,21 @@
 import gc
+import tracemalloc
 import weakref
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from udortho import orthogonal
 from udortho.lowdisc import SequenceSpec
 from udortho.orthogonal import (
+    BLOCK,
     OrthoSequence,
     OrthoSequenceSpec,
     convolution_index,
+    convolution_indices,
     coset_rep,
     default_ortho_spec,
     o2_element,
@@ -21,6 +26,8 @@ from udortho.orthogonal import (
     random_ortho_batch,
     t_inverse,
 )
+from udortho.sphere import sphere_sequence
+from udortho.udsg import generated, r_sequence
 
 # first nine pairs of the square interleaving, as printed
 CONVOLUTION_PREFIX = [
@@ -212,3 +219,131 @@ def test_random_ortho_moments():
     frames = random_ortho_batch(3, 100000, rng)
     assert abs(frames[:, 0, 0].mean()) < 0.01
     assert abs((frames[:, 0, 0] ** 2).mean() - 1.0 / 3.0) < 5e-3
+
+
+def test_convolution_indices_match_scalar():
+    m = np.arange(1, 10**6 + 1)
+    a, b = convolution_indices(m)
+    pairs = [convolution_index(int(j)) for j in m]
+    assert np.array_equal(a, [p[0] for p in pairs])
+    assert np.array_equal(b, [p[1] for p in pairs])
+    # around the squares, up to k = 3e9, where m - 1 no longer fits a double
+    # exactly and a float square root lands on the wrong side of k^2
+    ks = np.unique(np.concatenate([
+        np.arange(1, 2000),
+        np.geomspace(2000, 3 * 10**9, 5000).astype(np.int64),
+        [2**26, 2**26 + 1, 94_906_265, 94_906_266, 3 * 10**9],
+    ]))
+    m = (ks[:, None] ** 2 + np.array([-1, 0, 1, 2])).ravel()
+    m = m[m >= 1]
+    a, b = convolution_indices(m)
+    pairs = [convolution_index(int(j)) for j in m]
+    assert np.array_equal(a, [p[0] for p in pairs])
+    assert np.array_equal(b, [p[1] for p in pairs])
+    for bad in ([3, 0], [3, 92 * 10**17 + 1]):
+        with pytest.raises(ValueError):
+            convolution_indices(np.array(bad))
+
+
+def noveech_element(spec, lvl, m):
+    """Element m of level lvl without the generator step, one at a time."""
+    if lvl == 2:
+        return o2_element(spec.base_spec, m)
+    a, b = convolution_index(m)
+    x = sphere_sequence(lvl, spec.sphere_specs[lvl - 3], a)
+    return t_inverse(x, noveech_element(spec, lvl - 1, b))
+
+
+def veech_prefix(spec, lvl, count):
+    """The first `count` products of level lvl, multiplied one at a time
+    along the gap stream by `udsg.generated`."""
+    if lvl == 2:
+        return [o2_element(spec.base_spec, m) for m in range(1, count + 1)]
+    pairs = {j: convolution_index(j) for j in set(r_sequence(spec.generator, count))}
+    lower = veech_prefix(spec, lvl - 1, max(b for _, b in pairs.values()))
+    sphere = spec.sphere_specs[lvl - 3]
+    z = {j: t_inverse(sphere_sequence(lvl, sphere, a), lower[b - 1]) for j, (a, b) in pairs.items()}
+    stream = generated(z.__getitem__, mul=np.matmul, identity=np.eye(lvl), spec=spec.generator)
+    return list(islice(stream, count))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_noveech_frames_match_elementwise_rebuild(n):
+    spec = default_ortho_spec(n, veech=False)
+    seq = OrthoSequence(spec)
+    frames = seq.take(3000)
+    ref = np.stack([noveech_element(spec, n, m) for m in range(1, 3001)])
+    assert np.abs(frames - ref).max() < 1e-14
+    for m in (BLOCK * 1000 + 1, 10**6, 10**6 + 1, 987_654_321):
+        assert np.abs(seq.element(m) - noveech_element(spec, n, m)).max() < 1e-14
+
+
+@pytest.mark.parametrize("n, count", [(3, 10**5), (4, 10**5), (5, 10**4)])
+def test_veech_frames_match_sequential_products(n, count):
+    # the block scan reassociates the products; at depth 1e5 the two orders
+    # differ by a few 1e-12
+    spec = default_ortho_spec(n)
+    frames = OrthoSequence(spec).take(count)
+    ref = np.stack(veech_prefix(spec, n, count))
+    assert np.abs(frames - ref).max() < 1e-10
+
+
+@pytest.mark.parametrize("veech", [True, False])
+def test_frames_do_not_depend_on_access_pattern(veech):
+    spec = default_ortho_spec(4, veech=veech)
+    whole = OrthoSequence(spec).take(2000)
+    seq = OrthoSequence(spec)
+    cuts = [1, BLOCK - 3, BLOCK + 5, 2 * BLOCK + 1, 3 * BLOCK - 1, 2001]
+    parts = [seq.frames(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(parts), whole)
+    # backwards, on the same sequence and on fresh ones
+    for m in (BLOCK + 1, BLOCK, BLOCK - 1, 1, 2000, BLOCK + 1):
+        assert np.array_equal(seq.element(m), whole[m - 1])
+        assert np.array_equal(OrthoSequence(spec).element(m), whole[m - 1])
+    assert np.array_equal(seq.frames(BLOCK - 10, 30), whole[BLOCK - 11 : BLOCK + 19])
+    assert np.array_equal(np.stack(list(islice(iter(seq), 1100))), whole[:1100])
+    assert seq.frames(7, 0).shape == (0, 4, 4)
+    with pytest.raises(ValueError):
+        seq.frames(0, 3)
+
+
+def test_streaming_memory_is_bounded():
+    # 2e5 frames are 25.6 MB; streamed a block at a time, the sequence holds
+    # one block and a small factor table per level
+    seq = OrthoSequence(default_ortho_spec(4))
+    tracemalloc.start()
+    try:
+        for lo in range(1, 200_001, BLOCK):
+            seq.frames(lo, BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_repair_fixes_perturbed_frames_only():
+    rng = np.random.default_rng(3)
+    frames = random_ortho_batch(4, 300, rng)
+    bad = np.zeros(300, dtype=bool)
+    bad[rng.choice(300, 37, replace=False)] = True
+    w = frames.copy()
+    w[bad] += 1e-8 * rng.standard_normal((37, 4, 4))
+    perturbed = w.copy()
+    assert orthogonal._repair(w) == 37
+    assert np.array_equal(w[~bad], frames[~bad])
+    defect = np.abs(np.einsum("mji,mjk->mik", w, w) - np.eye(4)).max()
+    assert defect < 1e-14
+    assert np.array_equal(np.sign(np.linalg.det(w)), np.sign(np.linalg.det(perturbed)))
+    assert np.abs(w[bad] - perturbed[bad]).max() < 1e-7
+
+
+def test_repair_count_counts_each_repaired_frame(monkeypatch):
+    # with every frame over the tolerance, a two-block prefix at n = 3
+    # repairs the 2 BLOCK products and the factors z_1 .. z_r of the gaps
+    spec = default_ortho_spec(3)
+    plain = OrthoSequence(spec).take(BLOCK + 1)
+    monkeypatch.setattr(orthogonal, "_REPAIR_TOL", -1.0)
+    seq = OrthoSequence(spec)
+    frames = seq.take(BLOCK + 1)
+    assert seq.repair_count == 2 * BLOCK + max(r_sequence(spec.generator, 2 * BLOCK))
+    assert np.abs(frames - plain).max() < 1e-13

@@ -12,6 +12,7 @@ from udortho.udsg import (
     champernowne_digit,
     champernowne_digits,
     generate,
+    gap_blocks,
     generated,
     occurrence_positions,
     r_sequence,
@@ -115,3 +116,24 @@ def test_generated_rotation_walk_equidistributes():
     up = np.max(np.arange(1, n + 1) / n - fractions)
     down = np.max(fractions - np.arange(0, n) / n)
     assert max(up, down) < 0.06
+
+
+@pytest.mark.parametrize("target", range(10))
+def test_gap_blocks_match_r_sequence(target):
+    # the blocks cross chunks of Champernowne integers and digit lengths;
+    # target 1 drops its occurrence at position 1
+    spec = GeneratorSpec(target_digit=target)
+    ref = np.array(r_sequence(spec, 10**5))
+    for size in (7, 512, 10**5):
+        blocks = gap_blocks(spec, size)
+        got = np.concatenate([next(blocks) for _ in range(-(-(10**5) // size))])
+        assert np.array_equal(got[: 10**5], ref)
+    blocks = gap_blocks(spec, 1)
+    assert np.array_equal([next(blocks)[0] for _ in range(2000)], ref[:2000])
+
+
+def test_gap_blocks_validation():
+    with pytest.raises(ValueError):
+        next(gap_blocks(GeneratorSpec(base=2, target_digit=1), 4))
+    with pytest.raises(ValueError):
+        next(gap_blocks(GeneratorSpec(), 0))
