@@ -7,6 +7,11 @@ Champernowne-digit cumulative products (Veech's generator) finish the job.
 Pushing the sequence to subspace form gives quasi-random points on G(n, k),
 which drive Crofton-type estimates of intrinsic volumes of polytopes next
 to a Haar-random baseline.
+
+Each stage has one batched path: `points` (cube), `sphere_points` (sphere),
+`OrthoSequence.frames` (O(n)) and `beta_k` (G(n, k)); `run` reads frames a
+block at a time.  `point_at` and `sphere_sequence` are one-index delegates,
+kept because the benchmark's tracer binds them.
 """
 
 from .estimator import (
@@ -14,7 +19,6 @@ from .estimator import (
     ConvergenceTrace,
     ExperimentSpec,
     compare,
-    intrinsic_volume,
     reference_value,
     run,
 )
@@ -29,24 +33,20 @@ from .geometry import (
     random_spherical_polytope,
 )
 from .grassmann import Subspace, beta_k, complement, principal_angles
-from .lowdisc import SequenceSpec, point_at, points, radical_inverse
+from .lowdisc import SequenceSpec, point_at, points
 from .orthogonal import (
     OrthoSequence,
     OrthoSequenceSpec,
     convolution_index,
     coset_rep,
     default_ortho_spec,
-    o2_element,
-    ortho_element,
-    random_ortho,
     random_ortho_batch,
     t_inverse,
 )
-from .sphere import sphere_points, sphere_sequence, to_sphere_even, to_sphere_odd
+from .sphere import sphere_points, sphere_sequence
 from .udsg import (
     GeneratorSpec,
     champernowne_digit,
-    generate,
     generated,
     occurrence_positions,
     r_sequence,
@@ -74,21 +74,15 @@ __all__ = [
     "coset_rep",
     "crofton_constant",
     "default_ortho_spec",
-    "generate",
     "generated",
     "hull_measure",
-    "intrinsic_volume",
     "load_polytope",
-    "o2_element",
     "occurrence_positions",
-    "ortho_element",
     "point_at",
     "points",
     "principal_angles",
     "project",
     "r_sequence",
-    "radical_inverse",
-    "random_ortho",
     "random_ortho_batch",
     "random_spherical_polytope",
     "reference_value",
@@ -96,6 +90,4 @@ __all__ = [
     "sphere_points",
     "sphere_sequence",
     "t_inverse",
-    "to_sphere_even",
-    "to_sphere_odd",
 ]

@@ -198,14 +198,17 @@ def _gen_rows(args: argparse.Namespace):
     if mode not in GEN_MODES:
         raise CliError(f"mode must be one of {sorted(GEN_MODES)}, got {mode!r}")
     seed = int(cfg.get("seed", 0))
-    if GEN_MODES[mode] == "random":
-        frames = random_ortho_batch(n, count, np.random.default_rng(seed))
-    else:
-        ospec = default_ortho_spec(
-            n, kind=seq_kind, permutation_seed=pseed, skip=skip,
-            veech=GEN_MODES[mode] == "qmc",
-        )
-        frames = OrthoSequence(ospec).take(count)
+    try:
+        if GEN_MODES[mode] == "random":
+            frames = random_ortho_batch(n, count, np.random.default_rng(seed))
+        else:
+            ospec = default_ortho_spec(
+                n, kind=seq_kind, permutation_seed=pseed, skip=skip,
+                veech=GEN_MODES[mode] == "qmc",
+            )
+            frames = OrthoSequence(ospec).take(count)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
     if kind == "ortho":
         header = ["m"] + [f"e{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]

@@ -43,9 +43,8 @@ class ExperimentSpec:
     """Everything needed to reproduce one estimation run bit for bit.
 
     `seed` drives the random mode; `permutation_seed` the scrambling of the
-    quasi modes.  `sequence` overrides the default level layout (its veech
-    flag must agree with `mode`).  `trace_points` are the sample counts at
-    which the running mean is recorded; they default to (N,).
+    quasi modes, which use the default level layout.  `trace_points` are the
+    sample counts at which the running mean is recorded; they default to (N,).
     """
 
     polytope: Polytope
@@ -55,7 +54,6 @@ class ExperimentSpec:
     mode: str = "qmc"
     seed: int = 0
     permutation_seed: int = 0
-    sequence: OrthoSequenceSpec | None = None
     trace_points: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -78,19 +76,8 @@ class ExperimentSpec:
             raise ValueError("trace points must be strictly increasing")
         if self.trace_points[0] < 1 or self.trace_points[-1] > self.N:
             raise ValueError("trace points must lie in 1..N")
-        if self.sequence is not None:
-            if self.sequence.n != self.n:
-                raise ValueError("sequence spec dimension does not match n")
-            if self.mode == "random":
-                raise ValueError("a sequence spec is meaningless in random mode")
-            if self.sequence.veech != (self.mode == "qmc"):
-                raise ValueError(
-                    f"sequence veech={self.sequence.veech} conflicts with mode {self.mode!r}"
-                )
 
     def ortho_spec(self) -> OrthoSequenceSpec:
-        if self.sequence is not None:
-            return self.sequence
         return default_ortho_spec(
             self.n, permutation_seed=self.permutation_seed, veech=self.mode == "qmc"
         )
@@ -162,16 +149,6 @@ def run(spec: ExperimentSpec) -> ConvergenceTrace:
     )
 
 
-def intrinsic_volume(trace: ConvergenceTrace, n: int, k: int) -> float:
-    """Scale a finished trace into the intrinsic volume V_{n-k} estimate."""
-    if (n, k) != (trace.spec.n, trace.spec.k):
-        raise ValueError(
-            f"trace was computed for (n, k)=({trace.spec.n}, {trace.spec.k}), "
-            f"asked for ({n}, {k})"
-        )
-    return crofton_constant(n, k) * trace.final
-
-
 @dataclass
 class ComparisonReport:
     """Per-mode running means on a common grid of counts, with absolute
@@ -184,23 +161,6 @@ class ComparisonReport:
     trace_points: tuple[int, ...]
     values: dict[str, dict[int, float]]
     errors: dict[str, dict[int, float]]
-
-    def rows(self):
-        """(mode, m, value, error) rows in a stable order."""
-        for mode in self.values:
-            for m in self.trace_points:
-                yield mode, m, self.values[mode][m], self.errors[mode][m]
-
-    def to_dict(self) -> dict:
-        return {
-            "polytope": self.polytope_label,
-            "n": self.n,
-            "k": self.k,
-            "reference": self.reference,
-            "trace_points": list(self.trace_points),
-            "values": {mode: {str(m): v for m, v in vals.items()} for mode, vals in self.values.items()},
-            "errors": {mode: {str(m): v for m, v in errs.items()} for mode, errs in self.errors.items()},
-        }
 
 
 def compare(specs: list[ExperimentSpec], reference: float) -> ComparisonReport:

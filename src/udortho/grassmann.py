@@ -21,12 +21,9 @@ class Subspace:
 
     Bases are coordinates, not identity: two values with equal column span
     are the same subspace, so comparisons must go through `projector`.
-    When the subspace was sliced out of a full orthogonal frame, the
-    remaining columns ride along so the complement needs no recomputation.
     """
 
     basis: np.ndarray
-    complement_basis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         b = np.asarray(self.basis, dtype=float)
@@ -56,8 +53,7 @@ class Subspace:
 def beta_k(g: np.ndarray, k: int) -> Subspace:
     """Image of span(e_1, ..., e_k) under the orthogonal matrix g.
 
-    The basis is the first k columns of g verbatim; the last n-k columns
-    are kept for the complement.
+    The basis is a copy of the first k columns of g.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -65,19 +61,14 @@ def beta_k(g: np.ndarray, k: int) -> Subspace:
     n = g.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
-    return Subspace(basis=g[:, :k].copy(), complement_basis=g[:, k:].copy())
+    return Subspace(basis=g[:, :k].copy())
 
 
 def complement(sub: Subspace) -> Subspace:
-    """The orthogonal complement, satisfying P + P_perp = I.
-
-    Uses the carried frame columns when available, otherwise the left
-    singular vectors orthogonal to the basis.
-    """
-    if sub.complement_basis is not None:
-        return Subspace(basis=sub.complement_basis, complement_basis=sub.basis)
+    """The orthogonal complement, satisfying P + P_perp = I: the left
+    singular vectors orthogonal to the basis."""
     u, _, _ = np.linalg.svd(sub.basis, full_matrices=True)
-    return Subspace(basis=u[:, sub.k :], complement_basis=sub.basis)
+    return Subspace(basis=u[:, sub.k :])
 
 
 def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Every sequence here is random-access: coordinate values are pure functions
 of (spec, index), so points can be generated out of order, in parallel, or
-re-derived at any time from the spec alone.
+re-derived at any time from the spec alone.  `points` computes them a
+range of indices at a time; `point_at`, a range of one, is kept as a
+delegate because the benchmark's tracer binds that name.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ KINDS = ("van-der-corput", "halton", "scrambled-halton")
 # Digit weights below 2^-63 are dropped: they are unrepresentable next to
 # the leading digits in double precision.
 _MIN_WEIGHT = 2.0**-63
+_MAX_INDEX = 2**63 - 1
 
 _MASK64 = (1 << 64) - 1
 _LCG_MULT = 6364136223846793005
@@ -33,50 +36,6 @@ def first_primes(count: int) -> list[int]:
             primes.append(x)
         x += 1
     return primes
-
-
-def radical_inverse(index: int, base: int) -> float:
-    """Van der Corput radical inverse of `index` in `base`.
-
-    Mirrors the base-b digits about the radix point: index = sum a_j b^j
-    maps to sum a_j b^(-j-1), which lies in [0, 1).
-    """
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    if index < 1:
-        raise ValueError(f"index must be >= 1, got {index}")
-    x = 0.0
-    weight = 1.0 / base
-    i = index
-    while i > 0 and weight >= _MIN_WEIGHT:
-        x += (i % base) * weight
-        i //= base
-        weight /= base
-    return x
-
-
-def scrambled_radical_inverse(index: int, base: int, permutation: tuple[int, ...]) -> float:
-    """Radical inverse with each digit passed through `permutation`.
-
-    The permutation must fix 0 so that the (implicit) infinite tail of zero
-    digits contributes nothing and values stay in [0, 1).
-    """
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    if index < 1:
-        raise ValueError(f"index must be >= 1, got {index}")
-    if len(permutation) != base or sorted(permutation) != list(range(base)):
-        raise ValueError(f"permutation must rearrange 0..{base - 1}")
-    if permutation[0] != 0:
-        raise ValueError("digit permutation must fix 0")
-    x = 0.0
-    weight = 1.0 / base
-    i = index
-    while i > 0 and weight >= _MIN_WEIGHT:
-        x += permutation[i % base] * weight
-        i //= base
-        weight /= base
-    return x
 
 
 @lru_cache(maxsize=None)
@@ -143,50 +102,24 @@ class SequenceSpec:
             return tuple(digit_permutation(b, self.permutation_seed) for b in self.bases)
         return tuple(tuple(range(b)) for b in self.bases)
 
-    def to_config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dims": self.dims,
-            "bases": list(self.bases),
-            "skip": self.skip,
-            "permutation_seed": self.permutation_seed,
-        }
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "SequenceSpec":
-        return cls(
-            kind=cfg.get("kind", "halton"),
-            dims=int(cfg.get("dims", 1)),
-            bases=tuple(cfg.get("bases", ())),
-            skip=int(cfg.get("skip", 0)),
-            permutation_seed=int(cfg.get("permutation_seed", 0)),
-        )
-
-
-def point_at(spec: SequenceSpec, index: int) -> np.ndarray:
-    """The `index`-th point (1-based) of the sequence, as a length-d array."""
-    if index < 1:
-        raise ValueError(f"index must be >= 1, got {index}")
-    i = index + spec.skip
-    if spec.kind == "scrambled-halton":
-        coords = [
-            scrambled_radical_inverse(i, b, p)
-            for b, p in zip(spec.bases, spec.permutations())
-        ]
-    else:
-        coords = [radical_inverse(i, b) for b in spec.bases]
-    return np.array(coords)
-
 
 def points(spec: SequenceSpec, count: int, start: int = 1) -> np.ndarray:
-    """Points `start` .. `start+count-1` as a (count, dims) array.
+    """Points `start` .. `start+count-1` (1-based) as a (count, dims) array.
 
-    Vectorized digit extraction; agrees with `point_at` exactly.
+    Coordinate j of point i is the radical inverse of i + skip in base b_j:
+    the base-b digits a_l of the index, passed through the base's digit
+    permutation, are mirrored about the radix point, sum perm(a_l) b^(-l-1),
+    which lies in [0, 1).  The indices are int64, so the last one,
+    start + count - 1 + skip, must not exceed 2^63 - 1.
     """
     if start < 1:
         raise ValueError(f"start must be >= 1, got {start}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if start + count - 1 + spec.skip > _MAX_INDEX:
+        raise ValueError(
+            f"index {start + count - 1} + skip {spec.skip} exceeds 2^63 - 1"
+        )
     idx = np.arange(start, start + count, dtype=np.int64) + spec.skip
     out = np.zeros((count, spec.dims))
     perms = spec.permutations()
@@ -201,3 +134,8 @@ def points(spec: SequenceSpec, count: int, start: int = 1) -> np.ndarray:
             weight /= b
         out[:, j] = x
     return out
+
+
+def point_at(spec: SequenceSpec, index: int) -> np.ndarray:
+    """The `index`-th point (1-based) of the sequence, as a length-d array."""
+    return points(spec, 1, index)[0]

@@ -57,30 +57,13 @@ def _o2_batch(phi: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return g
 
 
-def o2_matrix(phi: float, sign: int) -> np.ndarray:
-    """2x2 orthogonal matrix with rotation angle `phi` and determinant `sign`."""
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return _o2_batch(np.array([phi], dtype=float), np.array([sign], dtype=float))[0]
-
-
 def _o2_elements(spec: SequenceSpec, idx: np.ndarray) -> np.ndarray:
+    """The O(2) base at the 1-based indices idx: the first coordinate of each
+    cube point gives the angle (times 2 pi), the second the determinant sign
+    via the threshold 1/2."""
     lo = int(idx.min())
     u = points(spec, int(idx.max()) - lo + 1, lo)[idx - lo]
     return _o2_batch(2.0 * np.pi * u[:, 0], np.where(u[:, 1] < 0.5, 1.0, -1.0))
-
-
-def o2_element(spec: SequenceSpec, m: int) -> np.ndarray:
-    """The m-th element of the O(2) base sequence.
-
-    The first coordinate of the m-th cube point gives the angle (times 2 pi),
-    the second the determinant sign via the threshold 1/2.
-    """
-    if spec.dims != 2:
-        raise ValueError(f"the O(2) base needs a 2-D spec, got dims={spec.dims}")
-    if m < 1:
-        raise ValueError(f"index must be >= 1, got {m}")
-    return _o2_elements(spec, np.array([m]))[0]
 
 
 def _reflections(x: np.ndarray) -> np.ndarray:
@@ -371,16 +354,6 @@ class OrthoSequence:
     def _checked(self, w: np.ndarray) -> np.ndarray:
         self.repair_count += _repair(w)
         return w
-
-
-def ortho_element(spec: OrthoSequenceSpec, m: int) -> np.ndarray:
-    """The m-th matrix of the sequence, recomputed from scratch (pure)."""
-    return OrthoSequence(spec).element(m)
-
-
-def random_ortho(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed random element of O(n): `random_ortho_batch` of one."""
-    return random_ortho_batch(n, 1, rng)[0]
 
 
 def random_ortho_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -168,19 +168,3 @@ def generated(
         w = mul(w, z(r))
         yield w
 
-
-def generate(
-    z: Callable[[int], T],
-    m: int,
-    *,
-    mul: Callable[[T, T], T],
-    identity: T,
-    spec: GeneratorSpec = GeneratorSpec(),
-) -> T:
-    """The m-th product z(r_1) * z(r_2) * ... * z(r_m), recomputed from scratch."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    w = identity
-    for r in islice(r_stream(spec), m):
-        w = mul(w, z(r))
-    return w

@@ -161,9 +161,50 @@ def test_estimate_config_file_with_flag_override(capsys, tmp_path):
     assert out_override != out_base
 
 
-def test_config_json_roundtrip(tmp_path):
-    cfg = {"polytope": "3-cube", "n": 3, "k": 1, "N": 10, "mode": "random", "seed": 4}
-    assert json.loads(json.dumps(cfg)) == cfg
+def test_estimate_config_matches_flags(capsys, tmp_path):
+    # every estimate parameter given in a config file prints the bytes that
+    # the same parameters given as flags print
+    doc_path = tmp_path / "icosahedron.json"
+    doc_path.write_text(json.dumps(polytope_to_dict(builtin("k-icosahedron"))))
+    cfg_path = tmp_path / "run.json"
+    for body in ({"polytope": "k-icosahedron"}, {"polytope_file": str(doc_path)}):
+        for mode in ("random", "qmc"):
+            cfg = {**body, "n": 3, "k": 2, "N": 300, "mode": mode, "seed": 7,
+                   "permutation_seed": 2, "trace": [10, 100, 300], "reference": 25.0}
+            flags = []
+            for key, value in cfg.items():
+                text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                flags += ["--" + key.replace("_", "-"), text]
+            cfg_path.write_text(json.dumps(cfg))
+            rc, from_config, _ = run_cli(capsys, ["estimate", "--config", str(cfg_path)])
+            assert rc == 0
+            rc, from_flags, _ = run_cli(capsys, ["estimate", *flags])
+            assert rc == 0
+            assert from_config == from_flags
+            assert len(parse_csv(from_config)[1]) == 3
+            # and to an output file
+            cfg_path.write_text(json.dumps({**cfg, "output": str(tmp_path / "config.csv")}))
+            assert run_cli(capsys, ["estimate", "--config", str(cfg_path)])[:2] == (0, "")
+            assert run_cli(capsys, ["estimate", *flags, "--output", str(tmp_path / "flags.csv")])[:2] == (0, "")
+            assert (tmp_path / "config.csv").read_text() == from_flags
+            assert (tmp_path / "flags.csv").read_text() == from_flags
+
+
+@pytest.mark.parametrize("what", ["sphere", "ortho", "grassmann"])
+def test_gen_rejects_indices_past_int64(capsys, what):
+    # cube indices are int64; a skip that pushes them past 2^63 - 1 is an
+    # input error, not a silent wrap to negative indices
+    argv = ["gen", what, "--n", "3", "--k", "1", "--count", "2", "--skip", str(2**63 - 1)]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert "2^63 - 1" in json.loads(err)["error"]
+    # in range: the sequence reads some way past index 2 (a block of
+    # products, and the factors of its gaps)
+    argv[-1] = str(2**63 - 10**6)
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0
+    assert len(parse_csv(out)[1]) == 2
 
 
 def test_gen_udsg_output_file(capsys, tmp_path):

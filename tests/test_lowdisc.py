@@ -1,3 +1,5 @@
+from itertools import count
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,28 +11,57 @@ from udortho.lowdisc import (
     first_primes,
     point_at,
     points,
-    radical_inverse,
-    scrambled_radical_inverse,
 )
 
 
+def exact_point(spec, index):
+    """Point `index` by exact integer digit reversal: Python ints, digits
+    mapped through the spec's permutations, one rounding at the end."""
+    i = index + spec.skip
+    coords = []
+    for b, perm in zip(spec.bases, spec.permutations()):
+        num, den, j = 0, 1, i
+        while j:
+            num = num * b + perm[j % b]
+            den *= b
+            j //= b
+        coords.append(num / den)  # int / int is correctly rounded
+    return coords
+
+
+def van_der_corput(base):
+    return SequenceSpec("van-der-corput", 1, bases=(base,))
+
+
+@pytest.mark.parametrize("skip", [0, 1000])
+@pytest.mark.parametrize("kind", ["van-der-corput", "halton", "scrambled-halton"])
+def test_points_match_exact_digit_reversal(kind, skip):
+    dims = 1 if kind == "van-der-corput" else 5
+    spec = SequenceSpec(kind, dims, skip=skip, permutation_seed=7)
+    ref = np.array([exact_point(spec, i) for i in range(1, 2001)])
+    assert np.abs(points(spec, 2000) - ref).max() < 1e-15
+    for index in (2**40 + 3, 10**15 + 1):
+        got = points(spec, 3, index - 1)[1]
+        assert np.abs(got - exact_point(spec, index)).max() < 1e-15
+
+
 def test_radical_inverse_examples():
-    assert radical_inverse(1, 2) == 0.5
-    assert radical_inverse(3, 2) == 0.75  # 3 = 11_2 -> 0.11_2
-    assert radical_inverse(1, 3) == pytest.approx(1.0 / 3.0, abs=1e-16)
+    assert point_at(van_der_corput(2), 1)[0] == 0.5
+    assert point_at(van_der_corput(2), 3)[0] == 0.75  # 3 = 11_2 -> 0.11_2
+    assert points(van_der_corput(3), 1)[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-16)
 
 
 @pytest.mark.parametrize("index,base", [(0, 2), (-3, 2), (1, 1), (1, 0)])
 def test_radical_inverse_domain_errors(index, base):
     with pytest.raises(ValueError):
-        radical_inverse(index, base)
+        points(van_der_corput(base), 1, index)
 
 
 @given(index=st.integers(1, 10**12), base=st.integers(2, 64))
 def test_radical_inverse_range_and_determinism(index, base):
-    x = radical_inverse(index, base)
+    x = point_at(van_der_corput(base), index)[0]
     assert 0.0 < x < 1.0
-    assert x == radical_inverse(index, base)
+    assert x == point_at(van_der_corput(base), index)[0]
 
 
 @given(base=st.integers(2, 50), seed=st.integers(0, 2**32))
@@ -41,17 +72,11 @@ def test_digit_permutation_fixes_zero(base, seed):
 
 
 def test_scrambled_identity_matches_plain():
+    # a scrambling whose permutations are all the identity changes nothing
     for base in (2, 3, 5):
-        ident = tuple(range(base))
-        for index in range(1, 10001):
-            assert scrambled_radical_inverse(index, base, ident) == radical_inverse(index, base)
-
-
-def test_scrambled_rejects_bad_permutation():
-    with pytest.raises(ValueError):
-        scrambled_radical_inverse(1, 3, (1, 0, 2))  # does not fix 0
-    with pytest.raises(ValueError):
-        scrambled_radical_inverse(1, 3, (0, 1))
+        seed = next(s for s in count() if digit_permutation(base, s) == tuple(range(base)))
+        scrambled = SequenceSpec("scrambled-halton", 1, bases=(base,), permutation_seed=seed)
+        assert np.array_equal(points(scrambled, 10000), points(van_der_corput(base), 10000))
 
 
 def test_halton_first_point():
@@ -125,9 +150,20 @@ def test_spec_validation():
         SequenceSpec("halton", 2, skip=-1)
 
 
-def test_spec_config_roundtrip():
-    spec = SequenceSpec("scrambled-halton", 4, bases=(2, 3, 5, 7), skip=5, permutation_seed=9)
-    assert SequenceSpec.from_config(spec.to_config()) == spec
+def test_points_reject_indices_past_int64():
+    # the indices are int64: past 2^63 - 1 they would wrap to negative values
+    top = 2**63 - 1
+    spec = SequenceSpec("halton", 2, skip=top - 5)
+    ref = np.array([exact_point(spec, i) for i in range(1, 6)])
+    assert np.abs(points(spec, 5) - ref).max() < 1e-15
+    with pytest.raises(ValueError):
+        points(spec, 1, 10)
+    with pytest.raises(ValueError):
+        points(spec, 6)
+    with pytest.raises(ValueError):
+        point_at(spec, 6)
+    with pytest.raises(ValueError):
+        points(SequenceSpec("halton", 2), 1, top + 1)
 
 
 def test_first_primes():

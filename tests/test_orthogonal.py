@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from udortho import orthogonal
-from udortho.lowdisc import SequenceSpec
+from udortho.lowdisc import SequenceSpec, points
 from udortho.orthogonal import (
     BLOCK,
     OrthoSequence,
@@ -18,15 +18,10 @@ from udortho.orthogonal import (
     convolution_indices,
     coset_rep,
     default_ortho_spec,
-    o2_element,
-    o2_matrix,
-    ortho_element,
     orthogonality_defect,
-    random_ortho,
     random_ortho_batch,
     t_inverse,
 )
-from udortho.sphere import sphere_sequence
 from udortho.udsg import generated, r_sequence
 
 # first nine pairs of the square interleaving, as printed
@@ -35,20 +30,47 @@ CONVOLUTION_PREFIX = [
 ]
 
 
+def o2_reference(phi, sign):
+    """The O(2) elements [[cos, sin], [-sign sin, sign cos]] of angles phi."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.stack([np.stack([c, s], -1), np.stack([-sign * s, sign * c], -1)], -2)
+
+
+def o2_from_points(u):
+    """The O(2) base from rows of cube points: angle 2 pi u_0, sign +1 iff u_1 < 1/2."""
+    return o2_reference(2.0 * np.pi * u[:, 0], np.where(u[:, 1] < 0.5, 1.0, -1.0))
+
+
+def box_muller(u, n):
+    """Rows of cube points mapped to S^(n-1): Box-Muller on the pairs
+    (p, q), the first cosine dropped for odd n, then normalized."""
+    p = np.clip(u[:, 0::2], 2.0**-53, 1.0 - 2.0**-53)
+    r = np.sqrt(-np.log(p))
+    angle = 2.0 * np.pi * u[:, 1::2]
+    v = np.stack([r * np.cos(angle), r * np.sin(angle)], -1).reshape(len(u), -1)
+    if n % 2:
+        v = v[:, 1:]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def cube_rows(spec, idx):
+    """Cube points at the 1-based indices idx, from one `points` call."""
+    lo = int(idx.min())
+    return points(spec, int(idx.max()) - lo + 1, lo)[idx - lo]
+
+
 def test_o2_matrix_examples():
-    assert np.array_equal(o2_matrix(0.0, 1), np.eye(2))
-    assert np.array_equal(o2_matrix(0.0, -1), np.diag([1.0, -1.0]))
-    np.testing.assert_allclose(o2_matrix(np.pi / 2.0, 1), [[0, 1], [-1, 0]], atol=1e-15)
-    with pytest.raises(ValueError):
-        o2_matrix(0.0, 2)
+    assert np.array_equal(o2_reference(0.0, 1.0), np.eye(2))
+    assert np.array_equal(o2_reference(0.0, -1.0), np.diag([1.0, -1.0]))
+    np.testing.assert_allclose(o2_reference(np.pi / 2.0, 1.0), [[0, 1], [-1, 0]], atol=1e-15)
 
 
 def test_o2_element_angle_and_sign():
-    spec = SequenceSpec("halton", 2)
-    m = o2_element(spec, 1)  # point (1/2, 1/3): angle pi, positive sign
+    seq = OrthoSequence(OrthoSequenceSpec(n=2, base_spec=SequenceSpec("halton", 2)))
+    m = seq.element(1)  # point (1/2, 1/3): angle pi, positive sign
     np.testing.assert_allclose(m, [[-1, 0], [0, -1]], atol=1e-15)
-    assert np.linalg.det(o2_element(spec, 1)) == pytest.approx(1.0)
-    dets = [np.linalg.det(o2_element(spec, i)) for i in range(1, 200)]
+    assert np.linalg.det(m) == pytest.approx(1.0)
+    dets = np.linalg.det(seq.take(199))
     assert {round(d) for d in dets} == {-1, 1}
 
 
@@ -115,7 +137,7 @@ def test_t_inverse_first_column_property():
     for _ in range(1000):
         x = rng.standard_normal(4)
         x /= np.linalg.norm(x)
-        h = random_ortho(3, rng)
+        h = random_ortho_batch(3, 1, rng)[0]
         g = t_inverse(x, h)
         np.testing.assert_allclose(g[:, 0], x, atol=1e-12)
 
@@ -157,8 +179,10 @@ def test_sequence_orthogonality(n, veech):
 def test_base_case_n2_matches_o2():
     spec = default_ortho_spec(2)
     seq = OrthoSequence(spec)
+    ref = o2_from_points(points(spec.base_spec, 2000))
+    assert np.array_equal(seq.take(2000), ref)
     for m in (1, 2, 9):
-        assert np.array_equal(seq.element(m), o2_element(spec.base_spec, m))
+        assert np.array_equal(seq.element(m), ref[m - 1])
 
 
 def test_streamed_equals_random_access():
@@ -167,7 +191,7 @@ def test_streamed_equals_random_access():
         seq = OrthoSequence(spec)
         streamed = seq.take(500)
         for m in list(range(1, 51)) + [100, 250, 500]:
-            assert np.array_equal(ortho_element(spec, m), streamed[m - 1])
+            assert np.array_equal(OrthoSequence(spec).element(m), streamed[m - 1])
 
 
 def test_sequence_freed_without_cyclic_collector():
@@ -206,7 +230,7 @@ def test_element_validation_and_purity():
 def test_random_ortho_invariants():
     rng = np.random.default_rng(0)
     for _ in range(500):
-        g = random_ortho(4, rng)
+        g = random_ortho_batch(4, 1, rng)[0]
         assert orthogonality_defect(g) < 1e-10
         assert abs(abs(np.linalg.det(g)) - 1.0) < 1e-8
     frames = random_ortho_batch(4, 10000, rng)
@@ -245,24 +269,27 @@ def test_convolution_indices_match_scalar():
             convolution_indices(np.array(bad))
 
 
-def noveech_element(spec, lvl, m):
-    """Element m of level lvl without the generator step, one at a time."""
+def noveech_reference(spec, lvl, m):
+    """Elements m (an int array) of level lvl without the generator step:
+    the cube points of each level from one `points` call, mapped by the
+    Box-Muller and O(2) maps above, and composed one at a time."""
     if lvl == 2:
-        return o2_element(spec.base_spec, m)
-    a, b = convolution_index(m)
-    x = sphere_sequence(lvl, spec.sphere_specs[lvl - 3], a)
-    return t_inverse(x, noveech_element(spec, lvl - 1, b))
+        return o2_from_points(cube_rows(spec.base_spec, m))
+    a, b = np.array([convolution_index(int(j)) for j in m]).T
+    x = box_muller(cube_rows(spec.sphere_specs[lvl - 3], a), lvl)
+    lower = noveech_reference(spec, lvl - 1, b)
+    return np.stack([t_inverse(xa, hb) for xa, hb in zip(x, lower)])
 
 
 def veech_prefix(spec, lvl, count):
     """The first `count` products of level lvl, multiplied one at a time
     along the gap stream by `udsg.generated`."""
     if lvl == 2:
-        return [o2_element(spec.base_spec, m) for m in range(1, count + 1)]
+        return o2_from_points(points(spec.base_spec, count))
     pairs = {j: convolution_index(j) for j in set(r_sequence(spec.generator, count))}
     lower = veech_prefix(spec, lvl - 1, max(b for _, b in pairs.values()))
-    sphere = spec.sphere_specs[lvl - 3]
-    z = {j: t_inverse(sphere_sequence(lvl, sphere, a), lower[b - 1]) for j, (a, b) in pairs.items()}
+    x = box_muller(points(spec.sphere_specs[lvl - 3], max(a for a, _ in pairs.values())), lvl)
+    z = {j: t_inverse(x[a - 1], lower[b - 1]) for j, (a, b) in pairs.items()}
     stream = generated(z.__getitem__, mul=np.matmul, identity=np.eye(lvl), spec=spec.generator)
     return list(islice(stream, count))
 
@@ -272,10 +299,10 @@ def test_noveech_frames_match_elementwise_rebuild(n):
     spec = default_ortho_spec(n, veech=False)
     seq = OrthoSequence(spec)
     frames = seq.take(3000)
-    ref = np.stack([noveech_element(spec, n, m) for m in range(1, 3001)])
+    ref = noveech_reference(spec, n, np.arange(1, 3001))
     assert np.abs(frames - ref).max() < 1e-14
     for m in (BLOCK * 1000 + 1, 10**6, 10**6 + 1, 987_654_321):
-        assert np.abs(seq.element(m) - noveech_element(spec, n, m)).max() < 1e-14
+        assert np.abs(seq.element(m) - noveech_reference(spec, n, np.array([m]))[0]).max() < 1e-14
 
 
 @pytest.mark.parametrize("n, count", [(3, 10**5), (4, 10**5), (5, 10**4)])

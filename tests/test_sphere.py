@@ -4,31 +4,39 @@ import numpy as np
 import pytest
 
 from udortho.lowdisc import SequenceSpec, point_at
-from udortho.sphere import (
-    input_dims,
-    sphere_points,
-    sphere_sequence,
-    to_sphere_even,
-    to_sphere_odd,
-)
+from udortho.sphere import _box_muller, input_dims, sphere_points, sphere_sequence
 
 E = math.exp(-1.0)
 
 
+def box_muller_reference(u, n):
+    """The normalized Box-Muller map of one cube point, written out in floats."""
+    vec = []
+    for p, q in zip(u[0::2], u[1::2]):
+        r = math.sqrt(-math.log(p))
+        vec += [r * math.cos(2.0 * math.pi * q), r * math.sin(2.0 * math.pi * q)]
+    if n % 2:
+        vec = vec[1:]
+    norm = math.sqrt(sum(v * v for v in vec))
+    return np.array(vec) / norm
+
+
 def test_even_examples():
-    np.testing.assert_allclose(to_sphere_even([E, 0.0]), [1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(to_sphere_even([E, 0.25]), [0.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(_box_muller(np.array([[E, 0.0]]), 2)[0], [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(_box_muller(np.array([[E, 0.25]]), 2)[0], [0.0, 1.0], atol=1e-15)
     np.testing.assert_allclose(
-        to_sphere_even([E, 0.0, E, 0.0]),
+        _box_muller(np.array([[E, 0.0, E, 0.0]]), 4)[0],
         [1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0), 0.0],
         atol=1e-15,
     )
 
 
 def test_odd_examples():
-    np.testing.assert_allclose(to_sphere_odd([E, 0.0, E, 0.0]), [0.0, 1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(
-        to_sphere_odd([E, 0.25, E, 0.0]),
+        _box_muller(np.array([[E, 0.0, E, 0.0]]), 3)[0], [0.0, 1.0, 0.0], atol=1e-15
+    )
+    np.testing.assert_allclose(
+        _box_muller(np.array([[E, 0.25, E, 0.0]]), 3)[0],
         [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0],
         atol=1e-15,
     )
@@ -36,9 +44,9 @@ def test_odd_examples():
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        to_sphere_even([0.5, 0.5, 0.5])
+        sphere_points(2, SequenceSpec("halton", 3), 1)  # S^1 needs a 2-D spec
     with pytest.raises(ValueError):
-        to_sphere_odd([0.5, 0.5])
+        sphere_points(3, SequenceSpec("halton", 2), 1)  # S^2 needs a 4-D spec
     with pytest.raises(ValueError):
         input_dims(1)
 
@@ -60,16 +68,19 @@ def test_unit_norm_for_halton_inputs():
 
 def test_extreme_coordinates_stay_finite():
     for u in ([0.0, 0.0], [1.0 - 2.0**-53, 0.9999999], [2.0**-60, 0.5]):
-        v = to_sphere_even(np.array(u))
+        v = _box_muller(np.array([u]), 2)[0]
         assert np.all(np.isfinite(v))
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
 def test_dispatch_even_and_odd():
     spec2 = SequenceSpec("halton", 2)
-    assert np.array_equal(sphere_sequence(2, spec2, 7), to_sphere_even(point_at(spec2, 7)))
+    ref = box_muller_reference(point_at(spec2, 7), 2)
+    np.testing.assert_allclose(sphere_sequence(2, spec2, 7), ref, rtol=0, atol=1e-15)
     spec4 = SequenceSpec("halton", 4)
-    assert np.array_equal(sphere_sequence(3, spec4, 7), to_sphere_odd(point_at(spec4, 7)))
+    for n in (3, 4):
+        ref = box_muller_reference(point_at(spec4, 7), n)
+        np.testing.assert_allclose(sphere_sequence(n, spec4, 7), ref, rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
         sphere_sequence(3, spec2, 1)  # S^2 needs a 4-D spec
 

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from udortho.lowdisc import radical_inverse
+from udortho.lowdisc import SequenceSpec, points
 from udortho.udsg import (
     GeneratorSpec,
     champernowne_digit,
     champernowne_digits,
-    generate,
     gap_blocks,
     generated,
     occurrence_positions,
@@ -77,35 +76,39 @@ def test_generate_first_element_is_z4():
         calls.append(j)
         return j
 
-    assert generate(z, 1, mul=operator.add, identity=0) == 4
+    assert next(generated(z, mul=operator.add, identity=0)) == 4
     assert calls == [4]
 
 
 def test_generate_sums():
     # over (R, +) with z_j = j the products become sums of the gaps
-    assert generate(lambda j: j, 2, mul=operator.add, identity=0) == 20
-    assert generate(lambda j: j, 3, mul=operator.add, identity=0) == 40
+    w = list(islice(generated(lambda j: j, mul=operator.add, identity=0), 3))
+    assert w[1:] == [20, 40]
 
 
 def test_generate_identity_absorption():
     eye = np.eye(3)
-    w = generate(lambda j: eye, 25, mul=np.matmul, identity=eye)
-    assert np.array_equal(w, eye)
+    stream = generated(lambda j: eye, mul=np.matmul, identity=eye)
+    assert all(np.array_equal(w, eye) for w in islice(stream, 25))
 
 
 def test_generated_stream_matches_generate():
     stream = generated(lambda j: j, mul=operator.add, identity=0)
-    firsts = [next(stream) for _ in range(10)]
-    assert firsts == [generate(lambda j: j, m, mul=operator.add, identity=0) for m in range(1, 11)]
+    firsts = list(islice(stream, 10))
+    gaps = r_sequence(GeneratorSpec(), 10)
+    assert firsts == [sum(gaps[:m]) for m in range(1, 11)]
 
 
 def test_generated_rotation_walk_equidistributes():
-    # Cumulative products of O(2) rotations by 2 pi * radical_inverse(j, 2)
-    # along the gap sequence spread over the circle.  The walk lives on a
-    # slowly refining dyadic angle grid, so the sup-CDF distance at N = 1e4
-    # is still ~0.04; assert the verified level, not an asymptotic one.
+    # Cumulative products of O(2) rotations by 2 pi * (the j-th base-2 van der
+    # Corput point) along the gap sequence spread over the circle.  The walk
+    # lives on a slowly refining dyadic angle grid, so the sup-CDF distance at
+    # N = 1e4 is still ~0.04; assert the verified level, not an asymptotic one.
+    top = max(r_sequence(GeneratorSpec(), 10000))
+    angle = points(SequenceSpec("van-der-corput", 1), top)[:, 0]
+
     def z(j):
-        return radical_inverse(j, 2)
+        return angle[j - 1]
 
     def add_mod1(a, b):
         return (a + b) % 1.0
