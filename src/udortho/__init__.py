@@ -9,9 +9,10 @@ which drive Crofton-type estimates of intrinsic volumes of polytopes next
 to a Haar-random baseline.
 
 Each stage has one batched path: `points` (cube), `sphere_points` (sphere),
-`OrthoSequence.frames` (O(n)) and `beta_k` (G(n, k)); `run` reads frames a
-block at a time.  `point_at` and `sphere_sequence` are one-index delegates,
-kept because the benchmark's tracer binds them.
+`OrthoSequence.frames` (O(n)) and `beta_k` (G(n, k), which maps a stack of
+frames to a stack of subspaces); `run` reads frames a block at a time.
+`point_at` and `sphere_sequence` are one-index delegates, kept because the
+benchmark's tracer binds them.
 """
 
 from .estimator import (

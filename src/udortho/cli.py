@@ -217,11 +217,11 @@ def _gen_rows(args: argparse.Namespace):
 
     k = int(_require(cfg, "k"))
     try:
-        subs = [beta_k(g, k) for g in frames]
+        bases = beta_k(frames, k).basis
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     header = ["m"] + [f"b{i}{j}" for i in range(1, n + 1) for j in range(1, k + 1)]
-    rows = [(m, *subs[m - 1].basis.ravel()) for m in range(1, count + 1)]
+    rows = [(m, *bases[m - 1].ravel()) for m in range(1, count + 1)]
     return cfg, header, rows
 
 

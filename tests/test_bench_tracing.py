@@ -2,8 +2,8 @@
 
 The tracer rebinds public functions and two private names of udortho in
 place; if one of them is renamed or deleted, `install` fails.  This test
-installs it, runs a little work, and checks that the counters moved and
-that `uninstall` put every name back.
+installs it, runs a little work, pushes a few frames through `beta_k`,
+and checks that the counters moved and that `uninstall` put every name back.
 """
 
 import sys
@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import udortho.cli  # noqa: F401 - every module the tracer rebinds names in
-from udortho import estimator
+from udortho import estimator, grassmann
 from udortho.geometry import builtin
 from udortho.orthogonal import OrthoSequence, default_ortho_spec
 
@@ -41,6 +41,10 @@ def test_tracer_installs_and_restores(monkeypatch):
         OrthoSequence(default_ortho_spec(4, veech=False)).take(600)
         # through the module: the tracer rebinds names in udortho's modules only
         estimator.run(estimator.ExperimentSpec(builtin("3-cube"), 3, 1, 200, "random", seed=1))
+        frames = OrthoSequence(default_ortho_spec(4)).take(5)
+        for g in frames:
+            grassmann.beta_k(g, 2)
+        grassmann.beta_k(frames, 2)
     finally:
         tracer.uninstall()
     after = bindings()
@@ -49,10 +53,13 @@ def test_tracer_installs_and_restores(monkeypatch):
     assert ("udortho.lowdisc", "point_at") in rebound
     assert ("udortho.sphere", "sphere_sequence") in rebound
     assert ("OrthoSequence", "_level") in rebound
+    assert ("udortho.grassmann", "beta_k") in rebound
+    assert ("udortho.cli", "beta_k") in rebound
     assert set(after) == set(before), set(after) ^ set(before)
     assert all(after[key] is value for key, value in before.items())
 
-    assert tracer.counts["orthogonal.frames"] == 600 + 200
+    assert tracer.counts["orthogonal.frames"] == 600 + 200 + 5
+    assert tracer.counts["grassmann.subspaces"] == 5 + 1  # one per call, not per frame
     assert tracer.counts["estimator.samples"] == 200
     assert tracer.counts["lowdisc.points"] > 0
     assert tracer.counts["sphere.points"] > 0

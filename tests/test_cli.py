@@ -5,7 +5,12 @@ import pytest
 
 from udortho.cli import main
 from udortho.geometry import builtin, polytope_to_dict
-from udortho.orthogonal import orthogonality_defect, random_ortho_batch
+from udortho.orthogonal import (
+    OrthoSequence,
+    default_ortho_spec,
+    orthogonality_defect,
+    random_ortho_batch,
+)
 
 
 def run_cli(capsys, argv):
@@ -75,6 +80,27 @@ def test_gen_grassmann(capsys):
     assert len(header) == 1 + 3 * 2
     b = np.array([float(c) for c in rows[0][1:]]).reshape(3, 2)
     assert np.abs(b.T @ b - np.eye(2)).max() < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["qr", "qr-noveech", "random"])
+def test_gen_grassmann_rows_are_the_first_k_columns(capsys, mode):
+    # %.17g round-trips a float, so the rows equal the frames' columns bitwise
+    rc, out, _ = run_cli(
+        capsys,
+        ["gen", "grassmann", "--n", "4", "--k", "2", "--count", "700", "--mode", mode,
+         "--seed", "5", "--permutation-seed", "3"],
+    )
+    assert rc == 0
+    header, rows = parse_csv(out)
+    assert header == ["m", "b11", "b12", "b21", "b22", "b31", "b32", "b41", "b42"]
+    assert [int(row[0]) for row in rows] == list(range(1, 701))
+    got = np.array([[float(c) for c in row[1:]] for row in rows]).reshape(700, 4, 2)
+    if mode == "random":
+        frames = random_ortho_batch(4, 700, np.random.default_rng(5))
+    else:
+        spec = default_ortho_spec(4, permutation_seed=3, veech=mode == "qr")
+        frames = OrthoSequence(spec).take(700)
+    assert np.array_equal(got, frames[:, :, :2])
 
 
 def test_gen_requires_count(capsys):

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from udortho.grassmann import (
-    Subspace,
-    beta_k,
-    complement,
-    principal_angles,
-    projector_distance,
-)
+from udortho.geometry import builtin, project
+from udortho.grassmann import Subspace, beta_k, complement, principal_angles
 from udortho.orthogonal import OrthoSequence, default_ortho_spec, random_ortho_batch
+
+
+def projector_distance(a: Subspace, b: Subspace) -> float:
+    """max-entry distance between the projectors of two subspaces."""
+    return float(np.abs(a.projector() - b.projector()).max())
+
+
+def frames_of(source: str, n: int, count: int) -> np.ndarray:
+    if source == "random":
+        return random_ortho_batch(n, count, np.random.default_rng(n))
+    return OrthoSequence(default_ortho_spec(n, permutation_seed=n)).take(count)
 
 
 def test_beta_k_identity():
@@ -71,6 +77,18 @@ def test_subspace_validation():
         Subspace(basis=np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         Subspace(basis=np.eye(3))  # k must stay below n
+    nan = np.eye(3)[:, :2]
+    nan[0, 0] = np.nan
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Subspace(nan)
+    with pytest.raises(ValueError, match="n x k"):
+        Subspace(np.ones(3))
+    with pytest.raises(ValueError, match="1 <= k"):
+        Subspace(np.zeros((5, 3, 3)))
+    with pytest.raises(ValueError, match="square"):
+        beta_k(np.zeros((5, 4, 3)), 2)
+    with pytest.raises(ValueError, match="square"):
+        beta_k(np.ones(4), 2)
 
 
 def test_principal_angles():
@@ -100,3 +118,95 @@ def test_mean_projector_smoke(n, k):
     b = frames[:, :, :k]
     mean_p = np.einsum("mik,mjk->ij", b, b) / frames.shape[0]
     assert np.abs(mean_p - (k / n) * np.eye(n)).max() < 2e-2
+
+
+@pytest.mark.parametrize("source", ["random", "qmc"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_beta_k_stack_matches_frames(source, n):
+    frames = frames_of(source, n, 300)
+    for k in range(1, n):
+        stacked = beta_k(frames, k)
+        assert (stacked.n, stacked.k) == (n, k)
+        per_frame = np.stack([beta_k(g, k).basis for g in frames])
+        assert np.array_equal(stacked.basis, per_frame)
+        assert np.array_equal(stacked.basis, frames[:, :, :k])
+    # leading axes beyond one are kept
+    assert beta_k(frames.reshape(3, 100, n, n), 1).basis.shape == (3, 100, n, 1)
+
+
+def test_beta_k_stack_rejects_one_bad_frame():
+    frames = frames_of("qmc", 4, 50)
+    frames[17, 0, 0] += 1e-6
+    with pytest.raises(ValueError, match="not orthonormal"):
+        beta_k(frames, 2)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        beta_k(frames[17], 2)
+    beta_k(np.delete(frames, 17, axis=0), 2)
+
+
+def test_beta_k_copies_its_columns():
+    g = np.eye(4)
+    sub = beta_k(g, 2)
+    g[0, 0] = -1.0
+    assert sub.basis[0, 0] == 1.0
+
+
+def test_orthonormality_tolerance_is_entrywise():
+    # Gram matrix I + a (all four entries): the sum of squares is 4 a^2, so
+    # only the entrywise defect can accept a just below the tolerance
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0][:, :2]
+    for a, ok in ((0.9e-10, True), (1.1e-10, False)):
+        r = np.linalg.cholesky(np.eye(2) + a)
+        basis = q @ r.T
+        stack = np.stack([q, basis, q])
+        if ok:
+            Subspace(basis)
+            Subspace(stack)
+        else:
+            with pytest.raises(ValueError, match="not orthonormal"):
+                Subspace(basis)
+            with pytest.raises(ValueError, match="not orthonormal"):
+                Subspace(stack)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (4, 2), (5, 3)])
+def test_stacked_complement_and_angles_match_per_frame(n, k):
+    frames = frames_of("random", n, 40)
+    subs = beta_k(frames, k)
+    comp = complement(subs)
+    assert (comp.n, comp.k) == (n, n - k)
+    for i, g in enumerate(frames):
+        one = complement(beta_k(g, k))
+        assert np.abs(comp.projector()[i] - one.projector()).max() < 1e-12
+    others = beta_k(frames_of("qmc", n, 40), k)
+    angles = principal_angles(subs, others)
+    assert angles.shape == (40, k)
+    for i, g in enumerate(frames):
+        one = principal_angles(beta_k(g, k), Subspace(others.basis[i]))
+        assert np.abs(angles[i] - one).max() < 1e-12
+    # a single subspace broadcasts against a stack
+    first = beta_k(frames[0], k)
+    one = principal_angles(first, Subspace(others.basis[3]))
+    assert np.abs(principal_angles(first, others)[3] - one).max() < 1e-12
+
+
+def test_subspace_is_immutable():
+    sub = beta_k(np.eye(3), 2)
+    with pytest.raises(AttributeError):
+        sub.basis = np.eye(3)[:, :1]
+    with pytest.raises(AttributeError):
+        del sub.basis
+    assert np.array_equal(sub.basis, np.eye(3)[:, :2])
+
+
+def test_per_frame_beta_k_over_a_take_is_the_first_columns():
+    # the contract the benchmark's ortho-stream check relies on
+    frames = OrthoSequence(default_ortho_spec(4, permutation_seed=1)).take(20_000)
+    bases = np.stack([beta_k(g, 2).basis for g in frames])
+    assert np.array_equal(bases, frames[:, :, :2])
+
+
+def test_project_rejects_a_stacked_subspace():
+    stacked = beta_k(frames_of("random", 4, 3), 2)
+    with pytest.raises(ValueError, match="basis must be"):
+        project(builtin("4-cube"), stacked)
