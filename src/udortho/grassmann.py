@@ -46,9 +46,15 @@ class Subspace:
         n, k = b.shape[-2:]
         if not 1 <= k <= n - 1:
             raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
-        defect = np.abs(b.swapaxes(-1, -2) @ b - _identity(k)).max()
-        if not defect <= _ORTHO_TOL:
-            raise ValueError(f"basis columns are not orthonormal (defect {defect:.2e})")
+        # One frame takes ndarray.dot, which skips matmul's per-call set-up.
+        gram = b.T.dot(b) if b.ndim == 2 else b.swapaxes(-1, -2) @ b
+        gap = gram - _identity(k)
+        # The sum of squares bounds every entry, so a sum below tol^2 accepts
+        # in one dot product; only a larger sum needs the entrywise defect.
+        if not np.vdot(gap, gap) < _ORTHO_TOL**2:
+            defect = np.abs(gap).max()
+            if not defect <= _ORTHO_TOL:
+                raise ValueError(f"basis columns are not orthonormal (defect {defect:.2e})")
         object.__setattr__(self, "basis", b)
 
     @property

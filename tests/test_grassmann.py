@@ -154,8 +154,9 @@ def test_beta_k_copies_its_columns():
 
 
 def test_orthonormality_tolerance_is_entrywise():
-    # Gram matrix I + a (all four entries): a Frobenius-norm check would
-    # reject a just below the tolerance, whose norm is 2a
+    # Gram matrix I + a (all four entries): the sum of squares 4 a^2 is above
+    # tol^2, so the fast accept fails and the entrywise defect must accept a
+    # just below the tolerance
     q = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0][:, :2]
     for a, ok in ((0.9e-10, True), (1.1e-10, False)):
         r = np.linalg.cholesky(np.eye(2) + a)
