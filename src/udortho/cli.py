@@ -250,6 +250,14 @@ def _table_bodies_4d():
     ]
 
 
+def _write_table(outdir: Path, number: int, header: list[str], rows: list[tuple]) -> None:
+    """table<number>.csv, and table<number>.json with the same rows keyed by header."""
+    _write_csv(outdir / f"table{number}.csv", header, rows)
+    summary = [dict(zip(header, row)) for row in rows]
+    _atomic_write(outdir / f"table{number}.json",
+                  json.dumps({"table": number, "rows": summary}, indent=2) + "\n")
+
+
 def cmd_reproduce_tables(args: argparse.Namespace) -> int:
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -262,7 +270,6 @@ def cmd_reproduce_tables(args: argparse.Namespace) -> int:
     next_seed = iter(range(base_seed, base_seed + 10_000))
 
     rows1 = []
-    summary1 = []
     for body in _table_bodies_3d():
         for mode, algo in (("random", "r"), ("qmc", "qr")):
             seed = next(next_seed)
@@ -272,36 +279,19 @@ def cmd_reproduce_tables(args: argparse.Namespace) -> int:
                 for k in (1, 2)
             }
             for N in (10, 100, 1000):
-                vals = {k: traces[k].value_at(N) for k in (1, 2)}
-                rows1.append((body.label, algo, len(body.vertices), N, vals[1], vals[2]))
-                summary1.append(
-                    {"polytope": body.label, "algo": algo,
-                     "n_vertices": len(body.vertices), "N": N,
-                     "I_3_1": vals[1], "I_3_2": vals[2]}
-                )
-    _write_csv(outdir / "table1.csv",
-               ["polytope", "algo", "n_vertices", "N", "I_3_1", "I_3_2"], rows1)
-    _atomic_write(outdir / "table1.json",
-                  json.dumps({"table": 1, "rows": summary1}, indent=2) + "\n")
+                rows1.append((body.label, algo, len(body.vertices), N,
+                              traces[1].value_at(N), traces[2].value_at(N)))
+    _write_table(outdir, 1, ["polytope", "algo", "n_vertices", "N", "I_3_1", "I_3_2"], rows1)
 
     rows2 = []
-    summary2 = []
     for body in _table_bodies_4d():
         for mode, algo in (("random", "r"), ("qmc", "qr")):
             seed = next(next_seed)
             trace = run(ExperimentSpec(body, 4, 3, 10000, mode, seed=seed,
                                        trace_points=(10, 100, 1000, 10000)))
             for N in (10, 100, 1000, 10000):
-                val = trace.value_at(N)
-                rows2.append((body.label, algo, len(body.vertices), N, val))
-                summary2.append(
-                    {"polytope": body.label, "algo": algo,
-                     "n_vertices": len(body.vertices), "N": N, "I_4_3": val}
-                )
-    _write_csv(outdir / "table2.csv",
-               ["polytope", "algo", "n_vertices", "N", "I_4_3"], rows2)
-    _atomic_write(outdir / "table2.json",
-                  json.dumps({"table": 2, "rows": summary2}, indent=2) + "\n")
+                rows2.append((body.label, algo, len(body.vertices), N, trace.value_at(N)))
+    _write_table(outdir, 2, ["polytope", "algo", "n_vertices", "N", "I_4_3"], rows2)
 
     # convergence trace for the icosahedron with the reference band
     icosa = builtin("k-icosahedron")

@@ -3,8 +3,11 @@
 For a polytope K and subspaces L drawn from G(n, k), the running mean of
 f(L) = vol(K | L_perp) converges to the invariant integral; scaling by the
 Crofton constant c_{k,n} turns that integral into the intrinsic volume
-V_{n-k}(K).  Three sampling modes are compared: Haar-random subspaces, the
-quasi-random construction, and the quasi-random construction without the
+V_{n-k}(K).  `reference_value` gives that limit exactly for a builtin body,
+from `geometry.intrinsic_volume`.
+
+Three sampling modes are compared: Haar-random subspaces, the quasi-random
+construction, and the quasi-random construction without the
 cumulative-product step (`qmc-noveech`).  The last is uniformly distributed
 too, but at N samples from O(n) it rests on only about N^(1/2^(n-i+1))
 distinct sphere points at recursion level i, so its estimates converge more
@@ -13,19 +16,17 @@ slowly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 
 import numpy as np
 
 from .geometry import (
     Polytope,
+    builtin,
     crofton_constant,
-    cube_mean_projection_length_4d,
+    intrinsic_volume,
     projection_measure,
-    simplex_mean_projection_area,
 )
 from .orthogonal import (
     BLOCK,
@@ -206,22 +207,8 @@ def compare(specs: list[ExperimentSpec], reference: float) -> ComparisonReport:
     )
 
 
-def _load_oracles() -> dict:
-    text = resources.files("udortho").joinpath("_oracles.json").read_text(encoding="utf-8")
-    return json.loads(text)
-
-
 def reference_value(label: str, n: int, k: int) -> float:
-    """Ground truth for the error columns: analytic where a closed form
-    exists, otherwise a frozen high-N random-baseline average."""
-    if label == "3-cube" and n == 3:
-        return 1.5
-    if label == "4-cube" and (n, k) == (4, 3):
-        return cube_mean_projection_length_4d()
-    if label == "3-simplex" and (n, k) == (3, 1):
-        return simplex_mean_projection_area()
-    oracles = _load_oracles()
-    key = f"{label}:{n}:{k}"
-    if key in oracles:
-        return float(oracles[key]["value"])
-    raise KeyError(f"no reference value for {key}")
+    """Exact subspace average of the projection volume of the builtin body
+    `label` over G(n, k): its intrinsic volume V_{n-k} over the Crofton
+    constant, the value the running means of `run` converge to."""
+    return intrinsic_volume(builtin(label).vertices, n - k) / crofton_constant(n, k)

@@ -7,13 +7,19 @@ inputs are legal and measure zero; any other qhull failure raises.
 `projection_measure` gives it for a block of frames at once, in closed form
 where one exists (widths for d = 1, Cauchy's facet sum for d = n - 1) and
 through `hull_measure` otherwise.
+
+`intrinsic_volume` gives the exact V_j of a full-dimensional polytope in
+n <= 4 from one hull, by the external-angle formula; these are the values
+the Crofton estimates converge to.  `simplex_mean_projection_area` and
+`cube_mean_projection_length_4d` are independent closed forms for two of
+them, kept as cross-checks.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from math import comb, factorial, gamma, pi, sqrt
 from pathlib import Path
 from typing import Callable
@@ -25,6 +31,10 @@ from .grassmann import Subspace
 
 # Relative tolerance of the rank test in `_is_flat`.
 _FLAT_REL_TOL = 1e-12
+
+# Largest coordinate difference of two unit normals of one facet in
+# `intrinsic_volume`.
+_FACET_TOL = 1e-9
 
 BUILTIN_LABELS = ("3-cube", "3-simplex", "k-icosahedron", "4-cube", "4-simplex")
 
@@ -215,6 +225,81 @@ def projection_measure(vertices: np.ndarray, k: int) -> Callable[[np.ndarray], n
         return np.array([hull_measure(verts @ g[:, k:]) for g in frames])
 
     return per_frame
+
+
+def _solid_angle(normals: np.ndarray, edge: np.ndarray) -> float:
+    """Solid angle of the cone over the outer unit normals of the simplices
+    around an edge of a triangulated 4-polytope boundary; all are orthogonal
+    to `edge`.
+
+    In the 3-d complement of the edge the normals are sorted by angle about
+    their mean direction c, which lies inside the cone, and the cone is the
+    fan of triangles (c, a, b) over consecutive normals a, b, each measured
+    by Van Oosterom and Strackee's formula.  Repeated normals (simplices of
+    one facet) give empty triangles, so an edge inside a 2-face or a facet,
+    whose cone is flat, adds nothing.
+    """
+    u = normals @ np.linalg.svd(edge[None])[2][1:].T
+    c = u.sum(axis=0)
+    c /= np.linalg.norm(c)
+    t = np.linalg.svd(c[None])[2][1:]
+    a = u[np.argsort(np.arctan2(u @ t[1], u @ t[0]))]
+    b = np.roll(a, -1, axis=0)
+    det = np.abs(np.cross(a, b) @ c)
+    return float(2.0 * np.arctan2(det, 1.0 + a @ c + b @ c + (a * b).sum(axis=1)).sum())
+
+
+def intrinsic_volume(vertices: np.ndarray, j: int) -> float:
+    """Intrinsic volume V_j of the full-dimensional polytope P = conv(vertices)
+    in R^n, for n <= 4 and 1 <= j <= n - 1.
+
+    V_j(P) is the sum over the j-faces F of vol_j(F) gamma(F, P), where the
+    external angle gamma(F, P) is the share of the unit sphere in the
+    orthogonal complement of F taken by F's normal cone (Schneider and Weil,
+    Stochastic and Integral Geometry, 2008).  Everything comes from one qhull
+    hull of P, whose triangulated simplices tile the facets:
+
+    - j = n - 1: half the surface area;
+    - j = n - 2: the (n-2)-simplices shared by neighbouring simplices of two
+      different facets, each times the angle between their outer normals
+      over 2 pi;
+    - j = 1 in R^4: each edge times the solid angle of the cone over the
+      outer normals of the simplices around it over 4 pi (`_solid_angle`).
+
+    Two simplices lie in one facet when their unit normals agree within
+    _FACET_TOL in every coordinate; the ridges inside a facet are skipped,
+    so its pieces add 0 exactly.  A flat body raises ValueError.
+    """
+    verts = np.asarray(vertices, dtype=float)
+    n = verts.shape[1]
+    if not 2 <= n <= 4 or not 1 <= j <= n - 1:
+        raise ValueError(f"need 2 <= n <= 4 and 1 <= j <= n - 1, got n={n}, j={j}")
+    if _is_flat(verts):
+        raise ValueError(f"the body does not span R^{n}")
+    hull = ConvexHull(verts)
+    if j == n - 1:
+        return hull.area / 2.0
+    simplices, normals = hull.simplices, hull.equations[:, :-1]
+
+    if j == n - 2:
+        nbrs = hull.neighbors
+        apart = np.abs(normals[:, None] - normals[nbrs]).max(axis=2) > _FACET_TOL
+        # neighbour p of simplex i is across the ridge without its p-th vertex
+        i, p = np.nonzero(apart & (nbrs > np.arange(len(nbrs))[:, None]))
+        ridges = verts[simplices[i][np.arange(n) != p[:, None]].reshape(-1, n - 1)]
+        legs = ridges[:, 1:] - ridges[:, :1]
+        vol = np.sqrt(np.linalg.det(legs @ legs.mT)) / factorial(n - 2)
+        cos = np.einsum("ij,ij->i", normals[i], normals[nbrs[i, p]])
+        return float(vol @ np.arccos(np.clip(cos, -1.0, 1.0))) / (2.0 * pi)
+    pairs = np.sort(simplices[:, list(combinations(range(n), 2))], axis=2).reshape(-1, 2)
+    edges, edge_of = np.unique(pairs, axis=0, return_inverse=True)
+    order = np.argsort(edge_of.ravel(), kind="stable")
+    owners = np.split(order // comb(n, 2), np.cumsum(np.bincount(edge_of.ravel()))[:-1])
+    total = 0.0
+    for (a, b), owner in zip(edges, owners):
+        e = verts[b] - verts[a]
+        total += float(np.linalg.norm(e)) * _solid_angle(normals[owner], e)
+    return total / (4.0 * pi)
 
 
 def ball_volume(j: int) -> float:

@@ -202,7 +202,6 @@ def default_ortho_spec(
     permutation_seed: int = 0,
     skip: int = 0,
     veech: bool = True,
-    generator: udsg.GeneratorSpec | None = None,
 ) -> OrthoSequenceSpec:
     """Standard level layout with disjoint prime bases across levels."""
     if n < 2:
@@ -221,7 +220,6 @@ def default_ortho_spec(
         base_spec=base,
         sphere_specs=tuple(specs),
         veech=veech,
-        generator=generator if generator is not None else udsg.GeneratorSpec(),
     )
 
 

@@ -28,23 +28,18 @@ _CHUNK = 4096
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Occurrence interval [t/b, (t+1)/b) encoded by its digit t.
+    """Occurrence interval [t/10, (t+1)/10) encoded by its decimal digit t.
 
-    Digit-aligned intervals have length exactly 1/b, the minimum the
-    generator theorem requires, and make the membership test a single
-    digit comparison.
+    Digit-aligned intervals have length exactly 1/10, the minimum the
+    generator theorem requires for the base-10 Champernowne source, and
+    make the membership test a single digit comparison.
     """
 
     target_digit: int = 5
-    base: int = 10
 
     def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if not 0 <= self.target_digit < self.base:
-            raise ValueError(
-                f"target_digit must be in 0..{self.base - 1}, got {self.target_digit}"
-            )
+        if not 0 <= self.target_digit <= 9:
+            raise ValueError(f"target_digit must be in 0..9, got {self.target_digit}")
 
 
 def champernowne_digit(i: int) -> int:
@@ -75,8 +70,6 @@ def champernowne_digits() -> Iterator[int]:
 
 def occurrence_stream(spec: GeneratorSpec = GeneratorSpec()) -> Iterator[int]:
     """Positions q (1-based, increasing) whose digit equals the target."""
-    if spec.base != 10:
-        raise ValueError("only the base-10 Champernowne digit source is available")
     target = spec.target_digit
     for pos, digit in enumerate(champernowne_digits(), start=1):
         if digit == target:
@@ -123,8 +116,6 @@ def gap_blocks(spec: GeneratorSpec, size: int) -> Iterator[np.ndarray]:
     target digit in it are the occurrences.  Gaps are counted from position
     1, which drops an occurrence there as `r_stream` does.
     """
-    if spec.base != 10:
-        raise ValueError("only the base-10 Champernowne digit source is available")
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     pending = np.empty(0, dtype=np.int64)

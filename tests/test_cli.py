@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from udortho.cli import main
+from udortho.estimator import reference_value
 from udortho.geometry import builtin, polytope_to_dict
 from udortho.orthogonal import (
     OrthoSequence,
@@ -239,3 +240,16 @@ def test_gen_udsg_output_file(capsys, tmp_path):
     assert rc == 0
     assert out == ""
     assert out_path.read_text().startswith("m,q,r\n1,5,4\n")
+
+
+def test_figure1_reference_and_band_columns(tmp_path):
+    # the reference is the exact value, written bit for bit, with a +-0.5% band
+    assert main(["reproduce-tables", "--output-dir", str(tmp_path)]) == 0
+    header, rows = parse_csv((tmp_path / "figure1.csv").read_text())
+    columns = {name: {float(row[i]) for row in rows} for i, name in enumerate(header)}
+    assert len(rows) == 1000
+    for k in (1, 2):
+        ref = reference_value("k-icosahedron", 3, k)
+        assert columns[f"reference_k{k}"] == {ref}
+        assert columns[f"band_low_k{k}"] == {ref * 0.995}
+        assert columns[f"band_high_k{k}"] == {ref * 1.005}

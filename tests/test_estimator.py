@@ -15,6 +15,7 @@ from udortho.geometry import (
     builtin,
     crofton_constant,
     hull_measure,
+    intrinsic_volume,
     random_spherical_polytope,
     simplex_mean_projection_area,
 )
@@ -186,16 +187,20 @@ def test_compare_rejects_repeated_mode():
 
 
 def test_reference_values():
-    assert reference_value("3-cube", 3, 1) == 1.5
-    assert reference_value("3-cube", 3, 2) == 1.5
+    # exact: V_{n-k} of the body over the Crofton constant, which rounds
+    assert reference_value("3-cube", 3, 1) == pytest.approx(1.5, rel=1e-14)
+    assert reference_value("3-cube", 3, 2) == pytest.approx(1.5, rel=1e-14)
     assert reference_value("4-cube", 4, 3) == pytest.approx(16.0 / (3.0 * math.pi))
     assert reference_value("3-simplex", 3, 1) == pytest.approx(0.59150635, abs=1e-7)
-    # frozen high-N baselines
     assert 1.0 < reference_value("3-simplex", 3, 2) < 1.2
     assert 450.0 < reference_value("k-icosahedron", 3, 1) < 460.0
     assert 24.5 < reference_value("k-icosahedron", 3, 2) < 25.5
-    with pytest.raises(KeyError):
-        reference_value("4-simplex", 4, 3)
+    simplex4 = builtin("4-simplex").vertices
+    assert reference_value("4-simplex", 4, 3) == (
+        intrinsic_volume(simplex4, 1) / crofton_constant(4, 3)
+    )
+    with pytest.raises(ValueError):
+        reference_value("5-cube", 4, 3)
 
 
 def test_repair_count_reported():

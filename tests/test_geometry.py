@@ -12,14 +12,18 @@ from udortho.geometry import (
     ball_volume,
     builtin,
     crofton_constant,
+    cube_mean_projection_length_4d,
     hull_measure,
+    intrinsic_volume,
     load_polytope,
     polytope_to_dict,
     project,
     projection_measure,
     random_spherical_polytope,
+    simplex_mean_projection_area,
 )
 from udortho import geometry
+from udortho.estimator import ExperimentSpec, run
 from udortho.grassmann import Subspace
 from udortho.orthogonal import OrthoSequence, coset_rep, default_ortho_spec, random_ortho_batch
 
@@ -347,6 +351,109 @@ def test_projection_measure_validation():
         projection_measure(builtin("4-cube").vertices, 0)  # d = 4
     with pytest.raises(ValueError):
         projection_measure(builtin("3-cube").vertices, 3)
+
+
+# ---------------------------------------------------------------- intrinsic volumes
+
+
+def _rel(got: float, want: float) -> float:
+    return abs(got - want) / abs(want)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_intrinsic_volume_unit_cube(n):
+    cube = builtin(f"{n}-cube").vertices
+    for j in range(1, n):
+        assert _rel(intrinsic_volume(cube, j), math.comb(n, j)) <= 1e-12
+
+
+def test_intrinsic_volume_closed_forms():
+    # the two cross-checks kept in geometry, and the unit 3-cube's 1.5
+    assert _rel(intrinsic_volume(builtin("4-cube").vertices, 1) / crofton_constant(4, 3),
+                cube_mean_projection_length_4d()) <= 1e-12
+    assert _rel(intrinsic_volume(builtin("3-simplex").vertices, 2) / crofton_constant(3, 1),
+                simplex_mean_projection_area()) <= 1e-12
+    cube = builtin("3-cube").vertices
+    for k in (1, 2):
+        assert _rel(intrinsic_volume(cube, 3 - k) / crofton_constant(3, k), 1.5) <= 1e-12
+    # standard simplices, face by face: edges at 0 have right angles between
+    # their facet normals (gamma = 1/4 in R^3, an octant 1/8 in R^4); the
+    # other edges and 2-faces meet the slanted facet
+    s3 = builtin("3-simplex").vertices
+    assert _rel(intrinsic_volume(s3, 1),
+                3 / 4 + 3 * math.sqrt(2) * math.acos(-1 / math.sqrt(3)) / (2 * math.pi)) <= 1e-12
+    s4 = builtin("4-simplex").vertices
+    for j, want in ((1, 0.5 + 1.5 * math.sqrt(2)), (2, 0.75 + 2 / math.sqrt(3)), (3, 0.5)):
+        assert _rel(intrinsic_volume(s4, j), want) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_intrinsic_volume_is_homogeneous(n):
+    verts = random_spherical_polytope(n, 30, seed=60 + n).vertices
+    for j in range(1, n):
+        base = intrinsic_volume(verts, j)
+        for t in (0.5, 3.0):
+            assert _rel(intrinsic_volume(t * verts, j), t**j * base) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_intrinsic_volume_invariant_under_order_and_rigid_motion(n):
+    rng = np.random.default_rng(70 + n)
+    bodies = [builtin(f"{n}-cube").vertices, builtin(f"{n}-simplex").vertices,
+              random_spherical_polytope(n, 30, seed=70 + n).vertices]
+    for verts in bodies:
+        g = random_ortho_batch(n, 1, rng)[0]
+        moved = rng.permutation(verts) @ g.T + rng.uniform(-5.0, 5.0, size=n)
+        for j in range(1, n):
+            assert _rel(intrinsic_volume(moved, j), intrinsic_volume(verts, j)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_intrinsic_volume_coplanar_duplicate_and_interior_points(n):
+    # points on the facets split them into more coplanar simplices; repeated
+    # vertices, midpoints of vertex pairs and interior points change nothing
+    rng = np.random.default_rng(80 + n)
+    cube = builtin(f"{n}-cube").vertices
+    on_facets = np.vstack([np.where(np.arange(n) == i, side, 0.5)
+                           for i in range(n) for side in (0.0, 1.0)])
+    midpoints = (cube[:, None] + cube[None]).reshape(-1, n) / 2.0
+    crowded = np.vstack([cube, cube[:5], on_facets, midpoints,
+                         rng.uniform(0.1, 0.9, size=(10, n))])
+    # rotated, the pieces of a facet get normals whose dot product can round
+    # below 1, so only the merge makes their angle 0
+    for verts in (crowded, *(crowded @ g.T for g in random_ortho_batch(n, 4, rng))):
+        for j in range(1, n):
+            assert _rel(intrinsic_volume(verts, j), math.comb(n, j)) <= 1e-12
+
+
+def test_intrinsic_volume_rejects_flat_bodies_and_bad_dimensions():
+    square = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    cube_in_r4 = np.hstack([builtin("3-cube").vertices, np.zeros((8, 1))])
+    for verts, j in ((square, 1), (square, 2), (cube_in_r4, 1), (cube_in_r4, 3),
+                     (builtin("3-cube").vertices[:3], 1)):
+        with pytest.raises(ValueError):
+            intrinsic_volume(verts, j)
+    with pytest.raises(ValueError):
+        intrinsic_volume(builtin("3-cube").vertices, 3)
+    with pytest.raises(ValueError):
+        intrinsic_volume(builtin("4-cube").vertices, 0)
+    with pytest.raises(ValueError):
+        intrinsic_volume(np.vstack([np.zeros(5), np.eye(5)]), 2)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+def test_intrinsic_volume_matches_random_run(n, k):
+    # the Crofton mean of random-mode run() converges to V_{n-k}; its
+    # standard error comes from the same frames
+    N, seed = 5000, 90 + n + k
+    body = random_spherical_polytope(n, 30, seed=seed)
+    trace = run(ExperimentSpec(body, n, k, N, "random", seed=seed))
+    samples = projection_measure(body.vertices, k)(
+        random_ortho_batch(n, N, np.random.default_rng(seed)))
+    assert trace.final == pytest.approx(samples.mean(), rel=1e-12)
+    c = crofton_constant(n, k)
+    stderr = c * samples.std() / math.sqrt(N)
+    assert abs(trace.intrinsic - intrinsic_volume(body.vertices, n - k)) <= 6.0 * stderr
 
 
 # ---------------------------------------------------------------- constants

@@ -15,7 +15,6 @@ from udortho.udsg import (
     generated,
     occurrence_positions,
     r_sequence,
-    r_stream,
 )
 
 
@@ -65,8 +64,6 @@ def test_generator_spec_validation():
         GeneratorSpec(target_digit=10)
     with pytest.raises(ValueError):
         GeneratorSpec(target_digit=-1)
-    with pytest.raises(ValueError):
-        list(islice(r_stream(GeneratorSpec(target_digit=1, base=2)), 1))
 
 
 def test_generate_first_element_is_z4():
@@ -136,7 +133,5 @@ def test_gap_blocks_match_r_sequence(target):
 
 
 def test_gap_blocks_validation():
-    with pytest.raises(ValueError):
-        next(gap_blocks(GeneratorSpec(base=2, target_digit=1), 4))
     with pytest.raises(ValueError):
         next(gap_blocks(GeneratorSpec(), 0))
