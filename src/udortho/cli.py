@@ -26,7 +26,7 @@ import numpy as np
 
 from . import udsg
 from .estimator import ExperimentSpec, compare, reference_value, run
-from .geometry import builtin, load_polytope, random_spherical_polytope
+from .geometry import builtin, crofton_constant, load_polytope, random_spherical_polytope
 from .grassmann import beta_k
 from .lowdisc import SequenceSpec
 from .orthogonal import OrthoSequence, default_ortho_spec, random_ortho_batch
@@ -153,7 +153,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from exc
     trace = run(spec)
     reference = cfg.get("reference")
-    c = trace.intrinsic / trace.final if trace.final else 0.0
+    c = crofton_constant(spec.n, spec.k)
     rows = []
     for m, val in trace.points:
         err = abs(val - float(reference)) if reference is not None else ""
@@ -296,11 +296,10 @@ def cmd_reproduce_tables(args: argparse.Namespace) -> int:
     # convergence trace for the icosahedron with the reference band
     icosa = builtin("k-icosahedron")
     every = tuple(range(1, 1001))
-    columns: dict[str, list[float]] = {}
-    refs = {}
+    header = ["m"]
+    columns: list = [every]
     for k in (1, 2):
         ref = reference_value("k-icosahedron", 3, k)
-        refs[k] = ref
         report = compare(
             [
                 ExperimentSpec(icosa, 3, k, 1000, "random", seed=next(next_seed),
@@ -309,21 +308,11 @@ def cmd_reproduce_tables(args: argparse.Namespace) -> int:
             ],
             reference=ref,
         )
-        columns[f"I_random_k{k}"] = [report.values["random"][m] for m in every]
-        columns[f"I_qmc_k{k}"] = [report.values["qmc"][m] for m in every]
-    header = ["m"]
-    for k in (1, 2):
         header += [f"I_random_k{k}", f"I_qmc_k{k}", f"reference_k{k}",
                    f"band_low_k{k}", f"band_high_k{k}"]
-    rows = []
-    for i, m in enumerate(every):
-        row: list = [m]
-        for k in (1, 2):
-            ref = refs[k]
-            row += [columns[f"I_random_k{k}"][i], columns[f"I_qmc_k{k}"][i],
-                    ref, ref * 0.995, ref * 1.005]
-        rows.append(tuple(row))
-    _write_csv(outdir / "figure1.csv", header, rows)
+        columns += [[report.values[mode][m] for m in every] for mode in ("random", "qmc")]
+        columns += [[x] * len(every) for x in (ref, ref * 0.995, ref * 1.005)]
+    _write_csv(outdir / "figure1.csv", header, zip(*columns))
     return 0
 
 

@@ -108,29 +108,26 @@ class ConvergenceTrace:
 def run(spec: ExperimentSpec) -> ConvergenceTrace:
     """Estimate the subspace average of the projection volume.
 
-    Frames come from one `random_ortho_batch` call, or from the sequence
-    one grid block of BLOCK at a time, and are measured BLOCK at a time by
-    the body's `projection_measure`, so quasi-random frames and temporaries
-    do not grow with N.  The values are accumulated with compensated
-    summation one by one in index order, so the trace is a pure function of
-    the spec and does not depend on BLOCK.
+    Frames are drawn BLOCK at a time, from one generator seeded by `seed`
+    in random mode and from the sequence in the quasi modes, and measured
+    by the body's `projection_measure`, so frames and temporaries do not
+    grow with N.  Random blocks are the rows of one `random_ortho_batch(n,
+    N, rng)` call, since its draws split at any count.  The values are
+    accumulated with compensated summation one by one in index order, so
+    the trace is a pure function of the spec and does not depend on BLOCK.
     """
     n, N = spec.n, spec.N
     measure = projection_measure(spec.polytope.vertices, spec.k)
-    seq: OrthoSequence | None = None
-    if spec.mode == "random":
-        rng = np.random.default_rng(spec.seed)
-        frames = random_ortho_batch(n, N, rng)
-        blocks = (frames[lo : lo + BLOCK] for lo in range(0, N, BLOCK))
-    else:
-        seq = OrthoSequence(spec.ortho_spec())
-        blocks = (seq.frames(lo + 1, min(BLOCK, N - lo)) for lo in range(0, N, BLOCK))
+    rng = np.random.default_rng(spec.seed)
+    seq = None if spec.mode == "random" else OrthoSequence(spec.ortho_spec())
     trace_set = set(spec.trace_points)
     points: list[tuple[int, float]] = []
     total = 0.0
     comp = 0.0
     m = 0
-    for block in blocks:
+    for lo in range(0, N, BLOCK):
+        count = min(BLOCK, N - lo)
+        block = random_ortho_batch(n, count, rng) if seq is None else seq.frames(lo + 1, count)
         for f in measure(block).tolist():
             m += 1
             y = f - comp
@@ -139,7 +136,7 @@ def run(spec: ExperimentSpec) -> ConvergenceTrace:
             total = t
             if m in trace_set:
                 points.append((m, total / m))
-    final = points[-1][1] if points and points[-1][0] == N else total / N
+    final = total / N
     c = crofton_constant(n, spec.k)
     return ConvergenceTrace(
         spec=spec,

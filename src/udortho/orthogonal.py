@@ -28,7 +28,7 @@ number of frames read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
@@ -176,7 +176,6 @@ class OrthoSequenceSpec:
     base_spec: SequenceSpec
     sphere_specs: tuple[SequenceSpec, ...] = ()
     veech: bool = True
-    generator: udsg.GeneratorSpec = field(default_factory=udsg.GeneratorSpec)
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -328,7 +327,7 @@ class OrthoSequence:
         """Products w_m of level `lvl` for m in grid block j."""
         done, w, gaps = self._blocks.get(lvl, (-1, None, None))
         if gaps is None or j < done:
-            done, w, gaps = -1, None, udsg.gap_blocks(self.spec.generator, BLOCK)
+            done, w, gaps = -1, None, udsg.gap_blocks(udsg.GeneratorSpec(), BLOCK)
         while done < j:
             done += 1
             r = next(gaps)
@@ -357,18 +356,20 @@ class OrthoSequence:
 def random_ortho_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """`count` independent Haar draws stacked into (count, n, n).
 
-    Uniform angle and fair sign for the O(2) base, then one normalized
-    Gaussian direction per level composed as R(x) diag(1, g).
+    One draw z of shape (count, n(n+1)/2) from `rng.standard_normal` gives
+    each frame its own row: the O(2) base takes the angle of (z_0, z_1) and
+    the sign of z_2, and level l = 3..n the direction of the next l entries,
+    composed as R(x) diag(1, g) (Mezzadri 2007).  The generator reads its
+    bit stream in order, so `count` = a then b from one generator gives the
+    frames of one draw of a + b.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    sign = np.where(rng.random(count) < 0.5, 1.0, -1.0)
-    g = _o2_batch(phi, sign)
+    z = rng.standard_normal((count, n * (n + 1) // 2))
+    g = _o2_batch(np.arctan2(z[:, 1], z[:, 0]), np.where(z[:, 2] < 0.0, 1.0, -1.0))
     for lvl in range(3, n + 1):
-        x = rng.standard_normal((count, lvl))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        g = _cosets(x, g)
+        x = z[:, lvl * (lvl - 1) // 2 : lvl * (lvl + 1) // 2]
+        g = _cosets(x / np.linalg.norm(x, axis=1, keepdims=True), g)
     return g

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from udortho.cli import main
-from udortho.estimator import reference_value
-from udortho.geometry import builtin, polytope_to_dict
+from udortho.estimator import ExperimentSpec, reference_value, run
+from udortho.geometry import builtin, crofton_constant, polytope_to_dict
 from udortho.orthogonal import (
     OrthoSequence,
     default_ortho_spec,
@@ -61,7 +61,8 @@ def test_gen_ortho_modes(capsys):
 
 def test_gen_random_is_the_batch_of_estimate(capsys):
     # gen --mode random --seed s draws the frames that estimate's random mode
-    # draws with seed s: one random_ortho_batch call
+    # draws with seed s: estimate draws them a block at a time and gen in one
+    # random_ortho_batch call, whose draws split at any count
     rc, out, _ = run_cli(
         capsys, ["gen", "ortho", "--n", "4", "--count", "50", "--mode", "random", "--seed", "11"]
     )
@@ -139,6 +140,22 @@ def test_estimate_floats_roundtrip(capsys, tmp_path):
     # 17 significant digits reproduce the double exactly
     value = float(rows[0][2])
     assert f"{value:.17g}" == rows[0][2]
+
+
+def test_estimate_ci_is_the_crofton_constant_times_i(capsys):
+    # here intrinsic / final is one ulp off the Crofton constant, so scaling
+    # by that ratio would misprint cI on most rows
+    rc, out, _ = run_cli(
+        capsys,
+        ["estimate", "--polytope", "4-cube", "--k", "3", "--N", "100", "--mode", "qmc",
+         "--permutation-seed", "1", "--trace", ",".join(map(str, range(1, 101)))],
+    )
+    assert rc == 0
+    _, rows = parse_csv(out)
+    c = crofton_constant(4, 3)
+    assert [row[3] for row in rows] == [f"{c * float(row[2]):.17g}" for row in rows]
+    trace = run(ExperimentSpec(builtin("4-cube"), 4, 3, 100, "qmc", permutation_seed=1))
+    assert rows[-1][3] == f"{trace.intrinsic:.17g}"
 
 
 def test_estimate_unknown_polytope_exits_2(capsys):

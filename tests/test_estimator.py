@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,3 +207,15 @@ def test_reference_values():
 def test_repair_count_reported():
     trace = run(ExperimentSpec(builtin("3-cube"), 3, 1, 200, "qmc"))
     assert trace.repair_count == 0  # no drift at this scale
+
+
+def test_random_mode_memory_is_bounded():
+    # 2e5 frames of O(4) are 25.6 MB; random mode draws them a block at a time
+    spec = ExperimentSpec(builtin("4-cube"), 4, 3, 200_000, "random")
+    tracemalloc.start()
+    try:
+        run(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

@@ -22,7 +22,7 @@ from udortho.orthogonal import (
     random_ortho_batch,
     t_inverse,
 )
-from udortho.udsg import generated, r_sequence
+from udortho.udsg import GeneratorSpec, generated, r_sequence
 
 # first nine pairs of the square interleaving, as printed
 CONVOLUTION_PREFIX = [
@@ -245,6 +245,16 @@ def test_random_ortho_moments():
     assert abs((frames[:, 0, 0] ** 2).mean() - 1.0 / 3.0) < 5e-3
 
 
+@given(st.integers(2, 5), st.integers(0, 2 * BLOCK), st.integers(0, 2 * BLOCK),
+       st.integers(0, 2**32))
+def test_random_batches_split_at_any_count(n, a, b, seed):
+    # a then b frames from one generator are the a + b frames of one draw
+    rng = np.random.default_rng(seed)
+    parts = [random_ortho_batch(n, a, rng), random_ortho_batch(n, b, rng)]
+    whole = random_ortho_batch(n, a + b, np.random.default_rng(seed))
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
 def test_convolution_indices_match_scalar():
     m = np.arange(1, 10**6 + 1)
     a, b = convolution_indices(m)
@@ -286,11 +296,11 @@ def veech_prefix(spec, lvl, count):
     along the gap stream by `udsg.generated`."""
     if lvl == 2:
         return o2_from_points(points(spec.base_spec, count))
-    pairs = {j: convolution_index(j) for j in set(r_sequence(spec.generator, count))}
+    pairs = {j: convolution_index(j) for j in set(r_sequence(GeneratorSpec(), count))}
     lower = veech_prefix(spec, lvl - 1, max(b for _, b in pairs.values()))
     x = box_muller(points(spec.sphere_specs[lvl - 3], max(a for a, _ in pairs.values())), lvl)
     z = {j: t_inverse(x[a - 1], lower[b - 1]) for j, (a, b) in pairs.items()}
-    stream = generated(z.__getitem__, mul=np.matmul, identity=np.eye(lvl), spec=spec.generator)
+    stream = generated(z.__getitem__, mul=np.matmul, identity=np.eye(lvl), spec=GeneratorSpec())
     return list(islice(stream, count))
 
 
@@ -372,5 +382,5 @@ def test_repair_count_counts_each_repaired_frame(monkeypatch):
     monkeypatch.setattr(orthogonal, "_REPAIR_TOL", -1.0)
     seq = OrthoSequence(spec)
     frames = seq.take(BLOCK + 1)
-    assert seq.repair_count == 2 * BLOCK + max(r_sequence(spec.generator, 2 * BLOCK))
+    assert seq.repair_count == 2 * BLOCK + max(r_sequence(GeneratorSpec(), 2 * BLOCK))
     assert np.abs(frames - plain).max() < 1e-13
