@@ -7,6 +7,9 @@ estimate          run one Crofton experiment and emit its convergence trace
 reproduce-tables  run the full benchmark grid and write table1.csv,
                   table2.csv, figure1.csv (plus JSON summaries)
 
+Run it as `udortho <command>` once installed, or as `python -m udortho
+<command>` with `src` on the path.
+
 Every command is deterministic: random modes take explicit seeds, and
 `reproduce-tables` uses fixed documented constants unless --fresh-seed is
 given.  Floats are printed with 17 significant digits so CSV files
@@ -59,10 +62,14 @@ def _write_csv(path: Path | None, header: list[str], rows) -> None:
 
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    # mkstemp makes the file 0600; it gets the mode open(path, "w") would give
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

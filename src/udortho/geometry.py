@@ -13,6 +13,11 @@ n <= 4 from one hull, by the external-angle formula; these are the values
 the Crofton estimates converge to.  `simplex_mean_projection_area` and
 `cube_mean_projection_length_4d` are independent closed forms for two of
 them, kept as cross-checks.
+
+qhull (`scipy.spatial`) is imported inside the three functions that build a
+hull, so it loads at the first hull and not with the package: it takes
+most of udortho's import time.  Sequence output (`gen sphere`, `gen ortho`,
+`gen grassmann`, `gen udsg`) and d = 1 (width) estimates never load it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .grassmann import Subspace
 
@@ -155,9 +159,10 @@ def _is_flat(pts: np.ndarray) -> bool:
 def hull_measure(pts: np.ndarray) -> float:
     """d-volume of the convex hull of a point cloud, d = pts.shape[1] in 1..3.
 
-    d = 1 is the length max - min; d = 2 and 3 take qhull's hull volume.  A
-    flat cloud (rank below d, see `_is_flat`) measures 0.0; a `QhullError`
-    on a cloud of full rank is a real failure and propagates.
+    d = 1 is the length max - min; d = 2 and 3 take qhull's hull volume,
+    importing `scipy.spatial` at the first such call.  A flat cloud (rank
+    below d, see `_is_flat`) measures 0.0; a `QhullError` on a cloud of full
+    rank is a real failure and propagates.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2:
@@ -171,6 +176,8 @@ def hull_measure(pts: np.ndarray) -> float:
     pts = pts[np.lexsort(pts.T[::-1])]
     if pts.shape[0] <= d:
         return 0.0
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         return float(ConvexHull(pts).volume)
     except QhullError:
@@ -207,6 +214,8 @@ def projection_measure(vertices: np.ndarray, k: int) -> Callable[[np.ndarray], n
         return width
 
     if k == 1 and not _is_flat(verts):
+        from scipy.spatial import ConvexHull
+
         facets = verts[ConvexHull(verts).simplices]
         edges = facets[:, 1:] - facets[:, :1]
         # vol(F) n_F is the generalized cross product of the edges / (n-1)!
@@ -276,6 +285,8 @@ def intrinsic_volume(vertices: np.ndarray, j: int) -> float:
         raise ValueError(f"need 2 <= n <= 4 and 1 <= j <= n - 1, got n={n}, j={j}")
     if _is_flat(verts):
         raise ValueError(f"the body does not span R^{n}")
+    from scipy.spatial import ConvexHull
+
     hull = ConvexHull(verts)
     if j == n - 1:
         return hull.area / 2.0

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -257,6 +259,20 @@ def test_gen_udsg_output_file(capsys, tmp_path):
     assert rc == 0
     assert out == ""
     assert out_path.read_text().startswith("m,q,r\n1,5,4\n")
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_output_files_take_the_umask(tmp_path, umask, mode):
+    # written files get the mode a plain open(path, "w") gives, not mkstemp's 0600
+    old = os.umask(umask)
+    try:
+        assert main(["gen", "udsg", "--count", "2", "--output", str(tmp_path / "udsg.csv")]) == 0
+        assert main(["reproduce-tables", "--output-dir", str(tmp_path / "tables")]) == 0
+    finally:
+        os.umask(old)
+    written = [tmp_path / "udsg.csv", *sorted((tmp_path / "tables").iterdir())]
+    assert len(written) == 6
+    assert {f.name: stat.S_IMODE(f.stat().st_mode) for f in written} == {f.name: mode for f in written}
 
 
 def test_figure1_reference_and_band_columns(tmp_path):

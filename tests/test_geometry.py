@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,6 @@ from udortho.geometry import (
     random_spherical_polytope,
     simplex_mean_projection_area,
 )
-from udortho import geometry
 from udortho.estimator import ExperimentSpec, run
 from udortho.grassmann import Subspace
 from udortho.orthogonal import OrthoSequence, coset_rep, default_ortho_spec, random_ortho_batch
@@ -232,13 +232,15 @@ def test_hull_measure_degenerate_inputs():
 
 def test_hull_measure_qhull_error_on_full_rank_propagates(monkeypatch):
     def failing_hull(pts):
-        raise geometry.QhullError("forced failure")
+        raise scipy.spatial.QhullError("forced failure")
 
-    monkeypatch.setattr(geometry, "ConvexHull", failing_hull)
+    # geometry imports ConvexHull from scipy.spatial on each hull, so the
+    # patch on the module is the one it sees
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", failing_hull)
     triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(geometry.QhullError):
+    with pytest.raises(scipy.spatial.QhullError):
         hull_measure(triangle)
-    with pytest.raises(geometry.QhullError):
+    with pytest.raises(scipy.spatial.QhullError):
         hull_measure(builtin("3-cube").vertices)
     # a flat cloud still measures zero whatever qhull says
     flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
