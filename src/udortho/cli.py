@@ -156,14 +156,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             permutation_seed=int(cfg.get("permutation_seed", 0)),
             trace_points=_parse_trace(cfg.get("trace")),
         )
-    except ValueError as exc:
+        reference = cfg.get("reference")
+        if reference is not None:
+            reference = float(reference)
+    except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from exc
     trace = run(spec)
-    reference = cfg.get("reference")
     c = crofton_constant(spec.n, spec.k)
     rows = []
     for m, val in trace.points:
-        err = abs(val - float(reference)) if reference is not None else ""
+        err = abs(val - reference) if reference is not None else ""
         rows.append((spec.mode, m, val, c * val, err))
     out = cfg.get("output")
     _write_csv(Path(out) if out else None, ["mode", "m", "I", "cI", "abs_err"], rows)
@@ -176,21 +178,27 @@ def _gen_rows(args: argparse.Namespace):
         ["n", "k", "count", "mode", "seed", "kind", "permutation_seed", "skip", "output"],
     )
     kind = args.what
-    count = int(_require(cfg, "count"))
+    try:
+        count = int(_require(cfg, "count"))
+        pseed = int(cfg.get("permutation_seed", 0))
+        skip = int(cfg.get("skip", 0))
+        seed = int(cfg.get("seed", 0))
+        n = int(_require(cfg, "n")) if kind != "udsg" else None
+        k = int(_require(cfg, "k")) if kind == "grassmann" else None
+    except (TypeError, ValueError) as exc:
+        raise CliError(str(exc)) from exc
     if count < 1:
         raise CliError("count must be >= 1")
     seq_kind = str(cfg.get("kind", "scrambled-halton"))
-    pseed = int(cfg.get("permutation_seed", 0))
-    skip = int(cfg.get("skip", 0))
 
     if kind == "udsg":
-        q = udsg.occurrence_positions(udsg.GeneratorSpec(), count)
+        # one gap block gives both columns: q_m = 1 + r_1 + ... + r_m
         r = udsg.r_sequence(udsg.GeneratorSpec(), count)
+        q = (1 + np.cumsum(r)).tolist()
         header = ["m", "q", "r"]
         rows = [(m, q[m - 1], r[m - 1]) for m in range(1, count + 1)]
         return cfg, header, rows
 
-    n = int(_require(cfg, "n"))
     if kind == "sphere":
         try:
             spec = SequenceSpec(seq_kind, input_dims(n), skip=skip, permutation_seed=pseed)
@@ -204,7 +212,6 @@ def _gen_rows(args: argparse.Namespace):
     mode = str(cfg.get("mode", "qr"))
     if mode not in GEN_MODES:
         raise CliError(f"mode must be one of {sorted(GEN_MODES)}, got {mode!r}")
-    seed = int(cfg.get("seed", 0))
     try:
         if GEN_MODES[mode] == "random":
             frames = random_ortho_batch(n, count, np.random.default_rng(seed))
@@ -222,7 +229,6 @@ def _gen_rows(args: argparse.Namespace):
         rows = [(m, *frames[m - 1].ravel()) for m in range(1, count + 1)]
         return cfg, header, rows
 
-    k = int(_require(cfg, "k"))
     try:
         bases = beta_k(frames, k).basis
     except ValueError as exc:

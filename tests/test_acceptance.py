@@ -170,7 +170,7 @@ def test_criterion_7_simplex_crofton():
     rel2 = abs(t2.final - oracle) / oracle
     ok = rel1 < 0.01 and rel2 < 0.01
     report(7, ok, f"k=1 vs shadow-area oracle {cauchy:.5f}: {rel1:.3%}; "
-                  f"k=2 vs frozen baseline {oracle:.5f}: {rel2:.3%}")
+                  f"k=2 vs exact intrinsic volume {oracle:.5f}: {rel2:.3%}")
 
 
 def test_criterion_8_icosahedron_crofton():

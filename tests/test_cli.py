@@ -39,6 +39,17 @@ def test_gen_udsg(capsys):
     ]
 
 
+def test_gen_udsg_rows_match_the_digit_string(capsys, champernowne_positions):
+    # 20 000 rows cross many 4 096-integer chunks and the 4- to 5-digit boundary
+    rc, out, _ = run_cli(capsys, ["gen", "udsg", "--count", "20000"])
+    assert rc == 0
+    header, rows = parse_csv(out)
+    assert header == ["m", "q", "r"]
+    q = champernowne_positions[5][:20000]
+    want = np.column_stack([np.arange(1, 20001), q, np.diff(q, prepend=1)])
+    assert np.array_equal(np.array(rows, dtype=np.int64), want)
+
+
 def test_gen_sphere(capsys):
     rc, out, _ = run_cli(capsys, ["gen", "sphere", "--n", "3", "--count", "1"])
     assert rc == 0
@@ -111,6 +122,32 @@ def test_gen_requires_count(capsys):
     rc, _, err = run_cli(capsys, ["gen", "udsg"])
     assert rc == 2
     assert "count" in json.loads(err)["error"]
+
+
+def _config_error(capsys, tmp_path, argv, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, err = run_cli(capsys, [*argv, "--config", str(path)])
+    assert (rc, out) == (2, "")
+    assert err.count("\n") == 1
+    return json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "what, key",
+    [("udsg", "count"), ("sphere", "n"), ("grassmann", "k"), ("ortho", "seed"),
+     ("sphere", "permutation_seed"), ("ortho", "skip")],
+)
+def test_gen_config_rejects_non_numbers(capsys, tmp_path, what, key):
+    cfg = {"n": 3, "k": 1, "count": 2, key: "x"}
+    assert "'x'" in _config_error(capsys, tmp_path, ["gen", what], cfg)
+
+
+@pytest.mark.parametrize("key", ["k", "N", "seed", "reference"])
+def test_estimate_config_rejects_non_numbers_before_running(capsys, tmp_path, monkeypatch, key):
+    monkeypatch.setattr("udortho.cli.run", lambda spec: pytest.fail("run() was called"))
+    cfg = {"polytope": "3-cube", "k": 1, "N": 10, key: "abc"}
+    assert "'abc'" in _config_error(capsys, tmp_path, ["estimate"], cfg)
 
 
 def test_estimate_stdout_trace(capsys):

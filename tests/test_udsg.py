@@ -10,7 +10,6 @@ from udortho.lowdisc import SequenceSpec, points
 from udortho.udsg import (
     GeneratorSpec,
     champernowne_digit,
-    champernowne_digits,
     gap_blocks,
     generated,
     occurrence_positions,
@@ -34,8 +33,6 @@ def test_champernowne_against_concatenation():
     ref = "".join(str(n) for n in range(1, 20000))
     for i in range(1, len(ref) + 1, 7):
         assert champernowne_digit(i) == int(ref[i - 1])
-    stream = champernowne_digits()
-    assert [next(stream) for _ in range(1000)] == [int(c) for c in ref[:1000]]
 
 
 def test_occurrences_of_five():
@@ -119,17 +116,19 @@ def test_generated_rotation_walk_equidistributes():
 
 
 @pytest.mark.parametrize("target", range(10))
-def test_gap_blocks_match_r_sequence(target):
+def test_gap_blocks_match_r_sequence(target, champernowne_positions):
     # the blocks cross chunks of Champernowne integers and digit lengths;
-    # target 1 drops its occurrence at position 1
+    # target 1 drops its occurrence at position 1 from the gaps only
     spec = GeneratorSpec(target_digit=target)
-    ref = np.array(r_sequence(spec, 10**5))
-    for size in (7, 512, 10**5):
+    q = champernowne_positions[target]
+    ref = np.diff(q[q > 1], prepend=1)[: 10**5]
+    assert ref.size == 10**5
+    for size in (1, 7, 512, 10**5):
         blocks = gap_blocks(spec, size)
         got = np.concatenate([next(blocks) for _ in range(-(-(10**5) // size))])
         assert np.array_equal(got[: 10**5], ref)
-    blocks = gap_blocks(spec, 1)
-    assert np.array_equal([next(blocks)[0] for _ in range(2000)], ref[:2000])
+    assert r_sequence(spec, 10**5) == ref.tolist()
+    assert occurrence_positions(spec, 10**5) == q[: 10**5].tolist()
 
 
 def test_gap_blocks_validation():
