@@ -129,13 +129,28 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _int(value, key: str) -> int:
+    """An integer parameter from a flag or a config file: an int, an integral
+    float or a decimal string.  Booleans and fractional numbers are refused,
+    not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise CliError(f"{key} must be an integer, got {value!r}")
+
+
 def _parse_trace(value) -> tuple[int, ...]:
     if value is None:
         return ()
     if isinstance(value, str):
-        parts = [p for p in value.split(",") if p]
-        return tuple(int(p) for p in parts)
-    return tuple(int(v) for v in value)
+        value = [p for p in value.split(",") if p]
+    return tuple(_int(v, "trace") for v in value)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -148,12 +163,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     try:
         spec = ExperimentSpec(
             polytope=poly,
-            n=int(cfg.get("n", poly.n)),
-            k=int(_require(cfg, "k")),
-            N=int(_require(cfg, "N")),
+            n=_int(cfg.get("n", poly.n), "n"),
+            k=_int(_require(cfg, "k"), "k"),
+            N=_int(_require(cfg, "N"), "N"),
             mode=str(cfg.get("mode", "qmc")),
-            seed=int(cfg.get("seed", 0)),
-            permutation_seed=int(cfg.get("permutation_seed", 0)),
+            seed=_int(cfg.get("seed", 0), "seed"),
+            permutation_seed=_int(cfg.get("permutation_seed", 0), "permutation_seed"),
             trace_points=_parse_trace(cfg.get("trace")),
         )
         reference = cfg.get("reference")
@@ -178,15 +193,12 @@ def _gen_rows(args: argparse.Namespace):
         ["n", "k", "count", "mode", "seed", "kind", "permutation_seed", "skip", "output"],
     )
     kind = args.what
-    try:
-        count = int(_require(cfg, "count"))
-        pseed = int(cfg.get("permutation_seed", 0))
-        skip = int(cfg.get("skip", 0))
-        seed = int(cfg.get("seed", 0))
-        n = int(_require(cfg, "n")) if kind != "udsg" else None
-        k = int(_require(cfg, "k")) if kind == "grassmann" else None
-    except (TypeError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    count = _int(_require(cfg, "count"), "count")
+    pseed = _int(cfg.get("permutation_seed", 0), "permutation_seed")
+    skip = _int(cfg.get("skip", 0), "skip")
+    seed = _int(cfg.get("seed", 0), "seed")
+    n = _int(_require(cfg, "n"), "n") if kind != "udsg" else None
+    k = _int(_require(cfg, "k"), "k") if kind == "grassmann" else None
     if count < 1:
         raise CliError("count must be >= 1")
     seq_kind = str(cfg.get("kind", "scrambled-halton"))

@@ -18,12 +18,14 @@ unused primes, so no 1-D coordinate stream is shared between levels.
 Every step is computed a block of indices at a time.  Indices fall on a
 fixed grid of blocks of BLOCK (1..BLOCK, BLOCK+1..2 BLOCK, ...).  Without
 the generator step a frame depends on its index alone.  With it, the
-products of a block come from a log-depth doubling scan over the block's
-factors, started from the last product of the block before, so a frame is
-a pure function of (spec, index) however the sequence is read.  A sequence
-keeps, per level, its last block and a table of the factors z_r for the
-gaps r up to the largest it has met, so its memory does not grow with the
-number of frames read.
+products of a block come from a two-level scan over the block's factors
+laid out as rows: prefix products within each row, one scan of the row
+totals started from the last product of the block before, and one batched
+product putting each row behind everything before it (Blelloch 1990), so
+a frame is a pure function of (spec, index) however the sequence is read.
+A sequence keeps, per level, its last block and a table of the factors z_r
+for the gaps r up to the largest it has met, so its memory does not grow
+with the number of frames read.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ from .sphere import input_dims, sphere_points
 
 # Indices per block of the sequence, and frames per block of `estimator.run`.
 BLOCK = 512
+
+# The Veech scan takes a block as rows of this many factors.
+_SCAN_COLS = 8
 
 # Re-orthonormalize a frame only past this defect.
 _REPAIR_TOL = 1e-10
@@ -66,26 +71,27 @@ def _o2_elements(spec: SequenceSpec, idx: np.ndarray) -> np.ndarray:
     return _o2_batch(2.0 * np.pi * u[:, 0], np.where(u[:, 1] < 0.5, 1.0, -1.0))
 
 
-def _reflections(x: np.ndarray) -> np.ndarray:
-    """I - 2 v v^T / (v^T v) with v = e_1 - x for each row x; I where x = e_1."""
+def _cosets(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """R(x) diag(1, h) for each row x of (count, n) and each h of (count, n-1, n-1).
+
+    R(x) = I - 2 v v^T / (v^T v) with v = e_1 - x is the reflection sending
+    e_1 to x, or I where |v| < _E1_TOL.  The product is computed as the
+    rank-1 update E - (2 / v^T v) v (v^T E) of E = diag(1, h), so no
+    reflection matrix is formed.
+    """
     count, n = x.shape
     v = -x
     v[:, 0] += 1.0
     cc = np.einsum("mi,mi->m", v, v)
-    refl = np.broadcast_to(np.eye(n), (count, n, n)).copy()
-    ok = np.sqrt(cc) >= _E1_TOL
-    refl[ok] -= 2.0 * v[ok, :, None] * v[ok, None, :] / cc[ok, None, None]
-    return refl
-
-
-def _cosets(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """R(x) diag(1, h) for each row x of (count, n) and each h of (count, n-1, n-1)."""
-    count, n = x.shape
-    refl = _reflections(x)
-    emb = np.zeros((count, n, n))
-    emb[:, 0, 0] = 1.0
-    emb[:, 1:, 1:] = h
-    return refl @ emb
+    scale = np.divide(2.0, cc, out=np.zeros(count), where=np.sqrt(cc) >= _E1_TOL)
+    vte = np.empty((count, n))
+    vte[:, 0] = v[:, 0]
+    vte[:, 1:] = np.einsum("mi,mij->mj", v[:, 1:], h)
+    e = np.zeros((count, n, n))
+    e[:, 0, 0] = 1.0
+    e[:, 1:, 1:] = h
+    e -= np.einsum("mi,mj->mij", scale[:, None] * v, vte)
+    return e
 
 
 def _unit_vector(x) -> np.ndarray:
@@ -104,7 +110,8 @@ def coset_rep(x: np.ndarray) -> np.ndarray:
     with v = e_1 - x.  The result is symmetric, involutive, and has
     determinant -1 away from e_1.
     """
-    return _reflections(_unit_vector(x)[None])[0]
+    x = _unit_vector(x)
+    return _cosets(x[None], np.eye(x.size - 1)[None])[0]
 
 
 def convolution_index(m: int) -> tuple[int, int]:
@@ -222,29 +229,46 @@ def default_ortho_spec(
     )
 
 
-def _defects(w: np.ndarray) -> np.ndarray:
-    """max |W^T W - I| of each matrix of a (count, n, n) stack."""
-    return np.abs(w.transpose(0, 2, 1) @ w - np.eye(w.shape[-1])).max(axis=(1, 2))
+def _gram_defects(w: np.ndarray) -> np.ndarray:
+    """|W^T W - I| entrywise, for each matrix of a (count, n, n) stack."""
+    n = w.shape[-1]
+    g = np.ascontiguousarray(w.transpose(0, 2, 1)) @ w
+    g.reshape(-1, n * n)[:, :: n + 1] -= 1.0
+    return np.abs(g, out=g)
 
 
 def orthogonality_defect(m: np.ndarray) -> float:
     """max |M^T M - I|."""
-    return float(_defects(np.asarray(m, dtype=float)[None])[0])
+    return float(_gram_defects(np.asarray(m, dtype=float)[None]).max())
 
 
 def _repair(w: np.ndarray) -> int:
     """Re-orthonormalize, in place, the frames of `w` with defect above
     _REPAIR_TOL, and return how many there were.
 
-    A repaired frame is the Q of its QR decomposition with the columns
-    signed so that diag(R) > 0 (Mezzadri 2007), which is what Gram-Schmidt
-    on its columns gives; the sign of the determinant is kept.
+    One maximum over the whole stack screens it; only a stack whose maximum
+    is above the tolerance, or NaN, is looked at frame by frame.  A repaired
+    frame is the Q of its QR decomposition with the columns signed so that
+    diag(R) > 0 (Mezzadri 2007), which is what Gram-Schmidt on its columns
+    gives; the sign of the determinant is kept.
     """
-    bad = np.flatnonzero(_defects(w) > _REPAIR_TOL)
+    defects = _gram_defects(w)
+    if defects.max(initial=0.0) <= _REPAIR_TOL:
+        return 0
+    bad = np.flatnonzero(defects.max(axis=(1, 2)) > _REPAIR_TOL)
     if bad.size:
         q, r = np.linalg.qr(w[bad])
         w[bad] = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     return int(bad.size)
+
+
+def _scan(p: np.ndarray) -> None:
+    """Prefix products p_0 p_1 ... p_i along axis -3 of a (..., count, n, n)
+    stack, in place, by a Hillis-Steele scan (log2 count batched steps)."""
+    step = 1
+    while step < p.shape[-3]:
+        p[..., step:, :, :] = p[..., :-step, :, :] @ p[..., step:, :, :]
+        step *= 2
 
 
 class OrthoSequence:
@@ -253,12 +277,13 @@ class OrthoSequence:
     `frames(start, count)` reads any range (1-based) and `take`, `element`
     and iteration are built on it.  Work is done a grid block of BLOCK
     indices at a time.  With the generator step on, each level keeps its
-    last block, whose last product carries into the next one, its stream of
-    gap blocks, and the factors z_r for every gap r up to the largest met;
-    reading a block before its last one restarts the level from block 0.
-    Frames whose orthogonality defect exceeds 1e-10 are re-orthonormalized;
-    `repair_count` says how often that happened, counting a frame each time
-    it is computed.
+    last block of products (read-only; a range inside it is read as a
+    slice), whose last product carries into the next block's scan, its
+    stream of gap blocks, and the factors z_r for every gap r up to the
+    largest met; reading a block before its last one restarts the level
+    from block 0.  Frames whose orthogonality defect exceeds 1e-10 are
+    re-orthonormalized; `repair_count` says how often that happened,
+    counting a frame each time it is computed.
     """
 
     def __init__(self, spec: OrthoSequenceSpec):
@@ -300,16 +325,23 @@ class OrthoSequence:
 
     def _level(self, lvl: int, m: int) -> np.ndarray:
         # element m of level lvl; the benchmark's tracer binds this name
-        return self._at(lvl, np.array([m], dtype=np.int64))[0]
+        return self._at(lvl, np.array([m], dtype=np.int64))[0].copy()
 
     def _at(self, lvl: int, idx: np.ndarray) -> np.ndarray:
-        """Level `lvl` frames at the 1-based indices `idx`."""
+        """Level `lvl` frames at the increasing 1-based indices `idx`.
+
+        A run of consecutive indices inside one grid block comes back as a
+        read-only view of the level's cached products, not a copy.
+        """
         if lvl == 2:
             return _o2_elements(self.spec.base_spec, idx)
         if not self.spec.veech:
             return self._checked(self._interleaved(lvl, idx))
-        out = np.empty((idx.size, lvl, lvl))
         grid = (idx - 1) // BLOCK
+        if grid[0] == grid[-1] and idx[-1] - idx[0] == idx.size - 1:
+            lo = int(idx[0] - 1) % BLOCK
+            return self._veech_block(lvl, int(grid[0]))[lo : lo + idx.size]
+        out = np.empty((idx.size, lvl, lvl))
         for j in np.unique(grid):
             sel = grid == j
             out[sel] = self._veech_block(lvl, int(j))[(idx[sel] - 1) % BLOCK]
@@ -331,12 +363,15 @@ class OrthoSequence:
         while done < j:
             done += 1
             r = next(gaps)
-            p = self._z_table(lvl, int(r.max()))[r]
-            step = 1
-            while step < BLOCK:
-                p[step:] = p[:-step] @ p[step:]
-                step *= 2
-            w = self._checked(p if w is None else w[-1] @ p)
+            # rows of _SCAN_COLS factors: scan each row; scan the last
+            # product of the block before followed by the row totals, so
+            # entry i is everything before row i; put each row behind it
+            p = self._z_table(lvl, int(r.max()))[r].reshape(-1, _SCAN_COLS, lvl, lvl)
+            _scan(p)
+            head = np.concatenate([np.eye(lvl)[None] if w is None else w[-1:], p[:, -1]])
+            _scan(head)
+            w = self._checked((head[:-1, None] @ p).reshape(BLOCK, lvl, lvl))
+            w.flags.writeable = False
         self._blocks[lvl] = (done, w, gaps)
         return w
 

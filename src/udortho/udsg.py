@@ -66,10 +66,11 @@ def gap_blocks(spec: GeneratorSpec, size: int) -> Iterator[np.ndarray]:
     """Gaps r_1 = q_1 - 1, r_m = q_m - q_{m-1}, as int64 arrays of `size` each.
 
     Digits are read _CHUNK integers at a time: the integers of one digit
-    length form a (count, k) array of digits, and the positions of the
-    target digit in it are the occurrences.  An occurrence at position 1
-    (only for target digit 1) is dropped: it would give r_1 = 0, which is
-    not a valid 1-based index into the generated sequence.
+    length form a (count, k) array of digits, split off last digit first by
+    one divmod by 10 per column, and the positions of the target digit in
+    it are the occurrences.  An occurrence at position 1 (only for target
+    digit 1) is dropped: it would give r_1 = 0, which is not a valid 1-based
+    index into the generated sequence.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -80,8 +81,10 @@ def gap_blocks(spec: GeneratorSpec, size: int) -> Iterator[np.ndarray]:
     while True:
         k = len(str(number))
         stop = min(number + _CHUNK, 10**k)
-        powers = 10 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        digits = np.arange(number, stop, dtype=np.int64)[:, None] // powers % 10
+        rest = np.arange(number, stop, dtype=np.int64)
+        digits = np.empty((rest.size, k), dtype=np.int64)
+        for i in range(k - 1, -1, -1):
+            rest, digits[:, i] = np.divmod(rest, 10)
         q = read + 1 + np.flatnonzero(digits.ravel() == spec.target_digit)
         q = q[q > 1]
         read += digits.size

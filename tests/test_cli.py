@@ -150,6 +150,52 @@ def test_estimate_config_rejects_non_numbers_before_running(capsys, tmp_path, mo
     assert "'abc'" in _config_error(capsys, tmp_path, ["estimate"], cfg)
 
 
+@pytest.mark.parametrize("value", [2.7, True, float("inf")])
+@pytest.mark.parametrize(
+    "what, key",
+    [("udsg", "count"), ("sphere", "n"), ("grassmann", "k"), ("ortho", "seed"),
+     ("sphere", "permutation_seed"), ("ortho", "skip")],
+)
+def test_gen_config_refuses_non_integral_values(capsys, tmp_path, what, key, value):
+    # a fractional or boolean integer parameter is an error, not truncated
+    cfg = {"n": 3, "k": 1, "count": 2, key: value}
+    assert repr(value) in _config_error(capsys, tmp_path, ["gen", what], cfg)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("N", 10.9), ("n", 3.5), ("k", True), ("seed", 0.5), ("permutation_seed", False),
+     ("trace", [3.5, 10]), ("trace", [True, 10])],
+)
+def test_estimate_config_refuses_non_integral_values(capsys, tmp_path, monkeypatch, key, value):
+    monkeypatch.setattr("udortho.cli.run", lambda spec: pytest.fail("run() was called"))
+    cfg = {"polytope": "3-cube", "k": 1, "N": 10, key: value}
+    bad = value[0] if key == "trace" else value
+    assert repr(bad) in _config_error(capsys, tmp_path, ["estimate"], cfg)
+
+
+def test_config_takes_integral_numbers_and_strings(capsys, tmp_path):
+    # 1000, 1000.0 and "1000" are one value
+    path = tmp_path / "cfg.json"
+    outputs = []
+    for count in (1000, 1000.0, "1000"):
+        path.write_text(json.dumps({"count": count}))
+        rc, out, _ = run_cli(capsys, ["gen", "udsg", "--config", str(path)])
+        assert rc == 0
+        outputs.append(out)
+    assert len(parse_csv(outputs[0])[1]) == 1000
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    outputs = []
+    for N, trace in ((10, [3, 10]), (10.0, [3.0, 10.0]), ("10", ["3", "10"])):
+        path.write_text(json.dumps({"polytope": "3-cube", "k": 1, "N": N, "seed": 1.0,
+                                    "trace": trace}))
+        rc, out, _ = run_cli(capsys, ["estimate", "--config", str(path)])
+        assert rc == 0
+        outputs.append(out)
+    assert [int(row[1]) for row in parse_csv(outputs[0])[1]] == [3, 10]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_estimate_stdout_trace(capsys):
     rc, out, _ = run_cli(
         capsys,
