@@ -3,7 +3,8 @@
 Uniformly distributed matrix sequences are built by the subgroup recursion:
 low-discrepancy sphere points choose coset representatives (reflections),
 a square-block convolution interleaves them with the previous level, and
-Champernowne-digit cumulative products (Veech's generator) finish the job.
+cumulative products along the gaps between the 5s of Champernowne's digits
+(Veech's generator) finish the job.
 Pushing the sequence to subspace form gives quasi-random points on G(n, k),
 which drive Crofton-type estimates of intrinsic volumes of polytopes next
 to a Haar-random baseline.
@@ -12,7 +13,9 @@ Each stage has one batched path: `points` (cube), `sphere_points` (sphere),
 `OrthoSequence.frames` (O(n)) and `beta_k` (G(n, k), which maps a stack of
 frames to a stack of subspaces); `run` reads frames a block at a time.
 `point_at` and `sphere_sequence` are one-index delegates, kept because the
-benchmark's tracer binds them.
+benchmark's tracer binds them.  The sequence kinds and the estimate modes
+are declared once, as `lowdisc.KINDS` and `estimator.MODES`; the command
+line takes its choices from them.
 """
 
 from .estimator import (
@@ -30,7 +33,6 @@ from .geometry import (
     crofton_constant,
     hull_measure,
     load_polytope,
-    project,
     random_spherical_polytope,
 )
 from .grassmann import Subspace, beta_k, complement, principal_angles
@@ -46,7 +48,6 @@ from .orthogonal import (
 )
 from .sphere import sphere_points, sphere_sequence
 from .udsg import (
-    GeneratorSpec,
     champernowne_digit,
     generated,
     occurrence_positions,
@@ -59,7 +60,6 @@ __all__ = [
     "ComparisonReport",
     "ConvergenceTrace",
     "ExperimentSpec",
-    "GeneratorSpec",
     "OrthoSequence",
     "OrthoSequenceSpec",
     "Polytope",
@@ -82,7 +82,6 @@ __all__ = [
     "point_at",
     "points",
     "principal_angles",
-    "project",
     "r_sequence",
     "random_ortho_batch",
     "random_spherical_polytope",

@@ -28,10 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import udsg
-from .estimator import ExperimentSpec, compare, reference_value, run
+from .estimator import MODES, ExperimentSpec, compare, reference_value, run
 from .geometry import builtin, crofton_constant, load_polytope, random_spherical_polytope
 from .grassmann import beta_k
-from .lowdisc import SequenceSpec
+from .lowdisc import KINDS, SequenceSpec
 from .orthogonal import OrthoSequence, default_ortho_spec, random_ortho_batch
 from .sphere import input_dims, sphere_points
 
@@ -94,15 +94,13 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _merged(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Config file values overridden by any flag that was actually given."""
-    cfg = _load_config(getattr(args, "config", None))
-    out = dict(cfg)
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            out[key] = val
-    return out
+def _merged(args: argparse.Namespace) -> dict:
+    """Config file values overridden by any flag that was actually given.
+
+    A config key is the flag's name with "_" for "-" (`permutation_seed`
+    for --permutation-seed), as argparse names its destination."""
+    flags = {key: val for key, val in vars(args).items() if val is not None}
+    return {**_load_config(args.config), **flags}
 
 
 def _resolve_polytope(cfg: dict):
@@ -145,6 +143,18 @@ def _int(value, key: str) -> int:
     raise CliError(f"{key} must be an integer, got {value!r}")
 
 
+def _float(value, key: str) -> float:
+    """A real parameter from a flag or a config file: a number or a decimal
+    string.  Booleans and non-finite values (nan, inf) are refused."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = float("nan")
+    if isinstance(value, bool) or not np.isfinite(x):
+        raise CliError(f"{key} must be a finite number, got {value!r}")
+    return x
+
+
 def _parse_trace(value) -> tuple[int, ...]:
     if value is None:
         return ()
@@ -154,11 +164,7 @@ def _parse_trace(value) -> tuple[int, ...]:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    cfg = _merged(
-        args,
-        ["polytope", "polytope_file", "n", "k", "N", "mode", "seed",
-         "permutation_seed", "trace", "reference", "output"],
-    )
+    cfg = _merged(args)
     poly = _resolve_polytope(cfg)
     try:
         spec = ExperimentSpec(
@@ -171,11 +177,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             permutation_seed=_int(cfg.get("permutation_seed", 0), "permutation_seed"),
             trace_points=_parse_trace(cfg.get("trace")),
         )
-        reference = cfg.get("reference")
-        if reference is not None:
-            reference = float(reference)
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from exc
+    reference = cfg.get("reference")
+    if reference is not None:
+        reference = _float(reference, "reference")
     trace = run(spec)
     c = crofton_constant(spec.n, spec.k)
     rows = []
@@ -188,10 +194,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _gen_rows(args: argparse.Namespace):
-    cfg = _merged(
-        args,
-        ["n", "k", "count", "mode", "seed", "kind", "permutation_seed", "skip", "output"],
-    )
+    cfg = _merged(args)
     kind = args.what
     count = _int(_require(cfg, "count"), "count")
     pseed = _int(cfg.get("permutation_seed", 0), "permutation_seed")
@@ -205,7 +208,7 @@ def _gen_rows(args: argparse.Namespace):
 
     if kind == "udsg":
         # one gap block gives both columns: q_m = 1 + r_1 + ... + r_m
-        r = udsg.r_sequence(udsg.GeneratorSpec(), count)
+        r = udsg.r_sequence(count)
         q = (1 + np.cumsum(r)).tolist()
         header = ["m", "q", "r"]
         rows = [(m, q[m - 1], r[m - 1]) for m in range(1, count + 1)]
@@ -362,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--n", type=int)
     p_est.add_argument("--k", type=int)
     p_est.add_argument("--N", type=int)
-    p_est.add_argument("--mode", choices=["random", "qmc", "qmc-noveech"])
+    p_est.add_argument("--mode", choices=MODES)
     p_est.add_argument("--seed", type=int)
     p_est.add_argument("--permutation-seed", type=int)
     p_est.add_argument("--trace", help="comma-separated counts to record")
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--count", type=int)
     p_gen.add_argument("--mode", choices=sorted(GEN_MODES))
     p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--kind", choices=["van-der-corput", "halton", "scrambled-halton"])
+    p_gen.add_argument("--kind", choices=KINDS)
     p_gen.add_argument("--permutation-seed", type=int)
     p_gen.add_argument("--skip", type=int)
     p_gen.add_argument("--output", help="CSV path (default: stdout)")

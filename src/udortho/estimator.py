@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -46,6 +47,7 @@ class ExperimentSpec:
     `seed` drives the random mode; `permutation_seed` the scrambling of the
     quasi modes, which use the default level layout.  `trace_points` are the
     sample counts at which the running mean is recorded; they default to (N,).
+    n, k, N and the trace points must be integers (not booleans).
     """
 
     polytope: Polytope
@@ -58,6 +60,11 @@ class ExperimentSpec:
     trace_points: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        self.trace_points = tuple(self.trace_points) or (self.N,)
+        for name, value in (("n", self.n), ("k", self.k), ("N", self.N),
+                            *(("trace point", t) for t in self.trace_points)):
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 1 <= self.k <= self.n - 1:
@@ -72,7 +79,6 @@ class ExperimentSpec:
             )
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
-        self.trace_points = tuple(self.trace_points) or (self.N,)
         if list(self.trace_points) != sorted(set(self.trace_points)):
             raise ValueError("trace points must be strictly increasing")
         if self.trace_points[0] < 1 or self.trace_points[-1] > self.N:

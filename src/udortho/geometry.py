@@ -6,7 +6,9 @@ interval length for d = 1, qhull's hull volume for d = 2 and 3.  Flat
 inputs are legal and measure zero; any other qhull failure raises.
 `projection_measure` gives it for a block of frames at once, in closed form
 where one exists (widths for d = 1, Cauchy's facet sum for d = n - 1) and
-through `hull_measure` otherwise.
+through `hull_measure` otherwise.  It is the one projection path: the
+shadow on span(B) of an orthonormal basis B is the hull of `vertices @ B`,
+so bases are plain arrays and geometry imports no other udortho module.
 
 `intrinsic_volume` gives the exact V_j of a full-dimensional polytope in
 n <= 4 from one hull, by the external-angle formula; these are the values
@@ -23,15 +25,13 @@ most of udortho's import time.  Sequence output (`gen sphere`, `gen ortho`,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, factorial, gamma, pi, sqrt
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-
-from .grassmann import Subspace
 
 # Relative tolerance of the rank test in `_is_flat`.
 _FLAT_REL_TOL = 1e-12
@@ -131,21 +131,6 @@ def load_polytope(source: str | Path | dict) -> Polytope:
 
 def polytope_to_dict(p: Polytope) -> dict:
     return {"n": p.n, "label": p.label, "vertices": p.vertices.tolist()}
-
-
-def project(p: Polytope, sub: Subspace | np.ndarray) -> np.ndarray:
-    """Vertex coordinates in the orthonormal basis of the target subspace.
-
-    Convexity makes this enough: the hull of the projected vertices is the
-    projection of the hull.
-    """
-    basis = sub.basis if isinstance(sub, Subspace) else np.asarray(sub, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != p.n:
-        raise ValueError(f"basis must be ({p.n}, d), got shape {basis.shape}")
-    d = basis.shape[1]
-    if not 1 <= d <= 3:
-        raise ValueError(f"projection dimension must be 1..3, got {d}")
-    return p.vertices @ basis
 
 
 def _is_flat(pts: np.ndarray) -> bool:

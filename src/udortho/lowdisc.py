@@ -5,6 +5,9 @@ of (spec, index), so points can be generated out of order, in parallel, or
 re-derived at any time from the spec alone.  `points` computes them a
 range of indices at a time; `point_at`, a range of one, is kept as a
 delegate because the benchmark's tracer binds that name.
+
+There are two kinds (`KINDS`): Halton and scrambled Halton.  The
+one-dimensional Halton sequence in base b is van der Corput's.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-KINDS = ("van-der-corput", "halton", "scrambled-halton")
+KINDS = ("halton", "scrambled-halton")
 
 # Digit weights below 2^-63 are dropped: they are unrepresentable next to
 # the leading digits in double precision.
@@ -78,8 +81,6 @@ class SequenceSpec:
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         if self.dims < 1:
             raise ValueError(f"dims must be >= 1, got {self.dims}")
-        if self.kind == "van-der-corput" and self.dims != 1:
-            raise ValueError("van-der-corput sequences are one-dimensional")
         if self.skip < 0:
             raise ValueError(f"skip must be >= 0, got {self.skip}")
         if self.permutation_seed < 0:

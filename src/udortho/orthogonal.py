@@ -359,7 +359,7 @@ class OrthoSequence:
         """Products w_m of level `lvl` for m in grid block j."""
         done, w, gaps = self._blocks.get(lvl, (-1, None, None))
         if gaps is None or j < done:
-            done, w, gaps = -1, None, udsg.gap_blocks(udsg.GeneratorSpec(), BLOCK)
+            done, w, gaps = -1, None, udsg.gap_blocks(BLOCK)
         while done < j:
             done += 1
             r = next(gaps)

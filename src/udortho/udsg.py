@@ -1,7 +1,8 @@
 """Veech's uniformly-distributed-sequence generator from Champernowne digits.
 
 Champernowne's constant 0.123456789101112... is normal in base 10.  Record
-the positions q_1 < q_2 < ... where a chosen digit occurs, take the gaps
+the positions q_1 < q_2 < ... where the digit 5 occurs (the one interval the
+construction needs, see `_DIGIT`), take the gaps
 r_1 = q_1 - 1, r_m = q_m - q_{m-1}, and the cumulative products
 w_m = z_{r_1} z_{r_2} ... z_{r_m} equidistribute in any compact group,
 provided the source sequence (z_j) is not trapped in a proper closed
@@ -15,7 +16,6 @@ arrays, which the block-vectorized O(n) sequence takes directly and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
 
 import numpy as np
@@ -26,21 +26,10 @@ T = TypeVar("T")
 # and gaps per block that `generated` takes.
 _CHUNK = 4096
 
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Occurrence interval [t/10, (t+1)/10) encoded by its decimal digit t.
-
-    Digit-aligned intervals have length exactly 1/10, the minimum the
-    generator theorem requires for the base-10 Champernowne source, and
-    make the membership test a single digit comparison.
-    """
-
-    target_digit: int = 5
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.target_digit <= 9:
-            raise ValueError(f"target_digit must be in 0..9, got {self.target_digit}")
+# The occurrence interval is [5/10, 6/10): a digit-aligned interval has
+# length 1/10, the least the generator theorem allows for the base-10
+# Champernowne source, and membership is one digit comparison.
+_DIGIT = 5
 
 
 def champernowne_digit(i: int) -> int:
@@ -62,15 +51,13 @@ def champernowne_digit(i: int) -> int:
     return (number // 10 ** (k - 1 - offset)) % 10
 
 
-def gap_blocks(spec: GeneratorSpec, size: int) -> Iterator[np.ndarray]:
+def gap_blocks(size: int) -> Iterator[np.ndarray]:
     """Gaps r_1 = q_1 - 1, r_m = q_m - q_{m-1}, as int64 arrays of `size` each.
 
     Digits are read _CHUNK integers at a time: the integers of one digit
     length form a (count, k) array of digits, split off last digit first by
-    one divmod by 10 per column, and the positions of the target digit in
-    it are the occurrences.  An occurrence at position 1 (only for target
-    digit 1) is dropped: it would give r_1 = 0, which is not a valid 1-based
-    index into the generated sequence.
+    one divmod by 10 per column, and the positions of the digit 5 in it are
+    the occurrences.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -85,8 +72,7 @@ def gap_blocks(spec: GeneratorSpec, size: int) -> Iterator[np.ndarray]:
         digits = np.empty((rest.size, k), dtype=np.int64)
         for i in range(k - 1, -1, -1):
             rest, digits[:, i] = np.divmod(rest, 10)
-        q = read + 1 + np.flatnonzero(digits.ravel() == spec.target_digit)
-        q = q[q > 1]
+        q = read + 1 + np.flatnonzero(digits.ravel() == _DIGIT)
         read += digits.size
         number = stop
         if q.size:
@@ -100,33 +86,25 @@ def gap_blocks(spec: GeneratorSpec, size: int) -> Iterator[np.ndarray]:
             parts, have = [gaps[end:]], have - end
 
 
-def r_sequence(spec: GeneratorSpec, count: int) -> list[int]:
+def r_sequence(count: int) -> list[int]:
     """First `count` gaps of the occurrence sequence."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return next(gap_blocks(spec, count)).tolist()
+    return next(gap_blocks(count)).tolist()
 
 
-def occurrence_positions(spec: GeneratorSpec, count: int) -> list[int]:
+def occurrence_positions(count: int) -> list[int]:
     """First `count` occurrence positions q_m = 1 + r_1 + ... + r_m."""
-    q = (1 + np.cumsum(r_sequence(spec, count))).tolist()
-    # digit 1 also occurs at position 1, which the gaps drop
-    return ([1] + q)[:count] if spec.target_digit == 1 else q
+    return (1 + np.cumsum(r_sequence(count))).tolist()
 
 
-def generated(
-    z: Callable[[int], T],
-    *,
-    mul: Callable[[T, T], T],
-    identity: T,
-    spec: GeneratorSpec = GeneratorSpec(),
-) -> Iterator[T]:
+def generated(z: Callable[[int], T], *, mul: Callable[[T, T], T], identity: T) -> Iterator[T]:
     """Stream w_1, w_2, ... with w_m = w_{m-1} * z(r_m), starting from identity.
 
     `z` is indexed 1-based; `mul` must be associative.
     """
     w = identity
-    for block in gap_blocks(spec, _CHUNK):
+    for block in gap_blocks(_CHUNK):
         for r in block.tolist():
             w = mul(w, z(r))
             yield w

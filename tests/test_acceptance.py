@@ -23,7 +23,7 @@ from udortho.orthogonal import (
     random_ortho_batch,
 )
 from udortho.sphere import input_dims, sphere_points
-from udortho.udsg import GeneratorSpec, champernowne_digit, occurrence_positions, r_sequence
+from udortho.udsg import champernowne_digit, occurrence_positions, r_sequence
 
 BIG_N = 100000
 SMALL_N = 10000
@@ -102,9 +102,8 @@ def test_criterion_3_convolution_indexing():
 
 
 def test_criterion_4_veech_generator():
-    spec = GeneratorSpec()
-    q = occurrence_positions(spec, 2)
-    r = r_sequence(spec, 2)
+    q = occurrence_positions(2)
+    r = r_sequence(2)
     values_ok = (q[0], q[1], r[0], r[1]) == (5, 21, 4, 16)
     chunks = []
     total = 0

@@ -5,6 +5,7 @@ import stat
 import numpy as np
 import pytest
 
+from udortho import cli
 from udortho.cli import main
 from udortho.estimator import ExperimentSpec, reference_value, run
 from udortho.geometry import builtin, crofton_constant, polytope_to_dict
@@ -175,7 +176,7 @@ def test_estimate_config_refuses_non_integral_values(capsys, tmp_path, monkeypat
 
 
 def test_config_takes_integral_numbers_and_strings(capsys, tmp_path):
-    # 1000, 1000.0 and "1000" are one value
+    # 1000, 1000.0 and "1000" are one value, and so are 25, 25.0 and "25"
     path = tmp_path / "cfg.json"
     outputs = []
     for count in (1000, 1000.0, "1000"):
@@ -186,14 +187,29 @@ def test_config_takes_integral_numbers_and_strings(capsys, tmp_path):
     assert len(parse_csv(outputs[0])[1]) == 1000
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
     outputs = []
-    for N, trace in ((10, [3, 10]), (10.0, [3.0, 10.0]), ("10", ["3", "10"])):
+    for N, trace, reference in ((10, [3, 10], 25), (10.0, [3.0, 10.0], 25.0),
+                                ("10", ["3", "10"], "25")):
         path.write_text(json.dumps({"polytope": "3-cube", "k": 1, "N": N, "seed": 1.0,
-                                    "trace": trace}))
+                                    "trace": trace, "reference": reference}))
         rc, out, _ = run_cli(capsys, ["estimate", "--config", str(path)])
         assert rc == 0
         outputs.append(out)
-    assert [int(row[1]) for row in parse_csv(outputs[0])[1]] == [3, 10]
+    rows = parse_csv(outputs[0])[1]
+    assert [int(row[1]) for row in rows] == [3, 10]
+    assert [float(row[4]) for row in rows] == [abs(float(row[2]) - 25.0) for row in rows]
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize(
+    "cfg, flags",
+    [({"reference": True}, []), ({"reference": "nan"}, []), ({"reference": "inf"}, []),
+     ({"reference": [25]}, []), ({}, ["--reference", "inf"]), ({}, ["--reference", "nan"])],
+    ids=["true", "nan-string", "inf-string", "list", "inf-flag", "nan-flag"],
+)
+def test_estimate_refuses_a_non_finite_or_boolean_reference(capsys, tmp_path, monkeypatch, cfg, flags):
+    monkeypatch.setattr("udortho.cli.run", lambda spec: pytest.fail("run() was called"))
+    cfg = {"polytope": "3-cube", "k": 1, "N": 10, **cfg}
+    assert "reference" in _config_error(capsys, tmp_path, ["estimate", *flags], cfg)
 
 
 def test_estimate_stdout_trace(capsys):
@@ -319,6 +335,41 @@ def test_estimate_config_matches_flags(capsys, tmp_path):
             assert (tmp_path / "flags.csv").read_text() == from_flags
 
 
+def test_gen_config_matches_flags(capsys, tmp_path):
+    # every gen parameter given in a config file prints the bytes that the
+    # same parameters given as flags print, and each parameter is read:
+    # changing any one of them changes the G(n, k) rows
+    base = {"n": 4, "k": 2, "count": 40, "mode": "qr", "seed": 3, "kind": "halton",
+            "permutation_seed": 2, "skip": 5}
+    changes = [{}, {"n": 3}, {"k": 1}, {"count": 41}, {"mode": "qr-noveech"},
+               {"mode": "random"}, {"mode": "random", "seed": 4},
+               {"kind": "scrambled-halton"}, {"kind": "scrambled-halton", "permutation_seed": 3},
+               {"skip": 6}]
+    cfg_path = tmp_path / "gen.json"
+    for what in ("sphere", "ortho", "grassmann", "udsg"):
+        outputs = []
+        for change in changes:
+            cfg = {**base, **change}
+            flags = [text for key, value in cfg.items()
+                     for text in ("--" + key.replace("_", "-"), str(value))]
+            cfg_path.write_text(json.dumps(cfg))
+            rc, from_config, _ = run_cli(capsys, ["gen", what, "--config", str(cfg_path)])
+            assert rc == 0
+            rc, from_flags, _ = run_cli(capsys, ["gen", what, *flags])
+            assert rc == 0
+            assert from_config == from_flags
+            outputs.append(from_config)
+        if what == "grassmann":
+            assert len(set(outputs)) == len(changes)
+        # and to an output file, the flag winning over the config file
+        cfg_path.write_text(json.dumps({**base, "output": str(tmp_path / "config.csv")}))
+        assert run_cli(capsys, ["gen", what, "--config", str(cfg_path)])[:2] == (0, "")
+        flags = ["--output", str(tmp_path / "flags.csv")]
+        assert run_cli(capsys, ["gen", what, "--config", str(cfg_path), *flags])[:2] == (0, "")
+        assert (tmp_path / "config.csv").read_text() == outputs[0]
+        assert (tmp_path / "flags.csv").read_text() == outputs[0]
+
+
 @pytest.mark.parametrize("what", ["sphere", "ortho", "grassmann"])
 def test_gen_rejects_indices_past_int64(capsys, what):
     # cube indices are int64; a skip that pushes them past 2^63 - 1 is an
@@ -369,3 +420,32 @@ def test_figure1_reference_and_band_columns(tmp_path):
         assert columns[f"reference_k{k}"] == {ref}
         assert columns[f"band_low_k{k}"] == {ref * 0.995}
         assert columns[f"band_high_k{k}"] == {ref * 1.005}
+
+
+def test_fresh_seed_redraws_only_the_random_cells(tmp_path, monkeypatch):
+    # --fresh-seed draws the base seed from SeedSequence entropy: the random
+    # (r) cells change, the qmc (qr) cells and the reference columns do not
+    seed_sequence = np.random.SeedSequence
+    monkeypatch.setattr(cli.np.random, "SeedSequence", lambda: seed_sequence(2**40 + 7))
+    fixed, fresh, again = tmp_path / "fixed", tmp_path / "fresh", tmp_path / "again"
+    assert main(["reproduce-tables", "--output-dir", str(fixed)]) == 0
+    assert main(["reproduce-tables", "--output-dir", str(fresh), "--fresh-seed"]) == 0
+    assert main(["reproduce-tables", "--output-dir", str(again), "--fresh-seed"]) == 0
+    for name in ("table1.csv", "table2.csv", "figure1.csv"):
+        assert (fresh / name).read_bytes() == (again / name).read_bytes()
+    for name in ("table1.csv", "table2.csv"):
+        header, rows = parse_csv((fixed / name).read_text())
+        fresh_rows = parse_csv((fresh / name).read_text())[1]
+        assert [row[:4] for row in rows] == [row[:4] for row in fresh_rows]
+        algo = header.index("algo")
+        for row, fresh_row in zip(rows, fresh_rows):
+            if row[algo] == "qr":
+                assert fresh_row == row
+            else:
+                assert row[algo] == "r"
+                assert all(a != b for a, b in zip(row[4:], fresh_row[4:]))
+    header, rows = parse_csv((fixed / "figure1.csv").read_text())
+    fresh_rows = parse_csv((fresh / "figure1.csv").read_text())[1]
+    for i, name in enumerate(header):
+        same = [row[i] for row in rows] == [row[i] for row in fresh_rows]
+        assert same == (not name.startswith("I_random")), name

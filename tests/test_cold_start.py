@@ -3,7 +3,7 @@
 qhull (`scipy.spatial`) takes most of the package's import time and only
 hulls need it, so `geometry` imports it inside the functions that build one.
 These tests run fresh interpreters, because the test session has long since
-loaded scipy.
+loaded scipy (and every udortho module).
 """
 
 import json
@@ -53,6 +53,29 @@ def test_import_and_gen_never_load_scipy(tmp_path):
     # gen, the d = 1 (width) estimate and the imports leave scipy unloaded;
     # the first hull loads it without adding a name to geometry
     done = fresh_python("-c", COLD_SCRIPT, str(tmp_path), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+GEOMETRY_ALONE = """
+import sys
+import types
+
+# the package without its __init__, which imports every module
+package = types.ModuleType("udortho")
+package.__path__ = [sys.argv[1]]
+sys.modules["udortho"] = package
+
+import udortho.geometry
+
+loaded = sorted(name for name in sys.modules if name.startswith("udortho."))
+assert loaded == ["udortho.geometry"], loaded
+"""
+
+
+def test_geometry_imports_no_other_module(tmp_path):
+    # geometry takes bases as arrays: importing it leaves udortho.grassmann
+    # (and every other udortho module) unloaded
+    done = fresh_python("-c", GEOMETRY_ALONE, str(SRC / "udortho"), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
 
 

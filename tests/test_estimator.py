@@ -37,6 +37,25 @@ def test_spec_validation():
         ExperimentSpec(cube, 3, 1, 100, trace_points=(50, 200))
 
 
+@pytest.mark.parametrize(
+    "n, k, N, trace",
+    [(3.0, 1, 10, ()), (3, True, 10, ()), (3, 1, 10.0, ()), (3, 1, np.float64(10), ()),
+     (3, 1, 10, (5.5, 10)), (3, 1, 10, (True, 10)), (3, 1, 10, (5, 10.0))],
+)
+def test_spec_refuses_non_integers(n, k, N, trace):
+    # a fractional trace point is an error, not a dropped row; k = True is not k = 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        ExperimentSpec(builtin("3-cube"), n, k, N, "qmc", trace_points=trace)
+
+
+def test_spec_takes_numpy_integers():
+    cube = builtin("3-cube")
+    plain = run(ExperimentSpec(cube, 3, 1, 10, "qmc", trace_points=(5, 10)))
+    wide = run(ExperimentSpec(cube, np.int64(3), np.int32(1), np.int64(10), "qmc",
+                              trace_points=(np.int64(5), 10)))
+    assert wide.points == plain.points
+
+
 @pytest.mark.parametrize("mode", ["random", "qmc", "qmc-noveech"])
 def test_traces_are_deterministic(mode):
     cube = builtin("3-cube")

@@ -18,13 +18,11 @@ from udortho.geometry import (
     intrinsic_volume,
     load_polytope,
     polytope_to_dict,
-    project,
     projection_measure,
     random_spherical_polytope,
     simplex_mean_projection_area,
 )
 from udortho.estimator import ExperimentSpec, run
-from udortho.grassmann import Subspace
 from udortho.orthogonal import OrthoSequence, coset_rep, default_ortho_spec, random_ortho_batch
 
 KIRKMAN_EXPECTED = {
@@ -97,9 +95,9 @@ def test_polytope_json_roundtrip(tmp_path):
 
 def test_project_coordinate_planes():
     cube = builtin("3-cube")
-    onto_xy = project(cube, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+    onto_xy = cube.vertices @ np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     assert hull_measure(onto_xy) == pytest.approx(1.0)
-    onto_x = project(cube, np.array([[1.0], [0.0], [0.0]]))
+    onto_x = cube.vertices @ np.array([[1.0], [0.0], [0.0]])
     assert hull_measure(onto_x) == pytest.approx(1.0)
 
 
@@ -108,21 +106,7 @@ def test_project_diagonal_hexagon():
     cube = builtin("3-cube")
     diag = np.ones(3) / math.sqrt(3.0)
     basis = coset_rep(diag)[:, 1:]
-    assert hull_measure(project(cube, basis)) == pytest.approx(math.sqrt(3.0), abs=1e-12)
-
-
-def test_project_accepts_subspace():
-    cube = builtin("3-cube")
-    sub = Subspace(basis=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-    assert hull_measure(project(cube, sub)) == pytest.approx(1.0)
-
-
-def test_project_validation():
-    cube = builtin("3-cube")
-    with pytest.raises(ValueError):
-        project(cube, np.eye(4)[:, :2])
-    with pytest.raises(ValueError):
-        project(builtin("4-cube"), np.eye(4))  # d = 4 unsupported
+    assert hull_measure(cube.vertices @ basis) == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
 
 # ---------------------------------------------------------------- hull measures

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from udortho.geometry import builtin, project
 from udortho.grassmann import Subspace, beta_k, complement, principal_angles
 from udortho.orthogonal import OrthoSequence, default_ortho_spec, random_ortho_batch
 
@@ -200,9 +199,3 @@ def test_subspace_is_immutable():
     with pytest.raises(AttributeError):
         del sub.basis
     assert np.array_equal(sub.basis, np.eye(3)[:, :2])
-
-
-def test_project_rejects_a_stacked_subspace():
-    stacked = beta_k(frames_of("random", 4, 3), 2)
-    with pytest.raises(ValueError, match="basis must be"):
-        project(builtin("4-cube"), stacked)

@@ -30,13 +30,21 @@ def exact_point(spec, index):
 
 
 def van_der_corput(base):
-    return SequenceSpec("van-der-corput", 1, bases=(base,))
+    """The one-dimensional Halton sequence: van der Corput's in `base`."""
+    return SequenceSpec("halton", 1, bases=(base,))
+
+
+# (kind, dims), with the one-dimensional case named for van der Corput
+KIND_CASES = [
+    pytest.param("halton", 1, id="van-der-corput"),
+    pytest.param("halton", 5, id="halton"),
+    pytest.param("scrambled-halton", 5, id="scrambled-halton"),
+]
 
 
 @pytest.mark.parametrize("skip", [0, 1000])
-@pytest.mark.parametrize("kind", ["van-der-corput", "halton", "scrambled-halton"])
-def test_points_match_exact_digit_reversal(kind, skip):
-    dims = 1 if kind == "van-der-corput" else 5
+@pytest.mark.parametrize("kind,dims", KIND_CASES)
+def test_points_match_exact_digit_reversal(kind, dims, skip):
     spec = SequenceSpec(kind, dims, skip=skip, permutation_seed=7)
     ref = np.array([exact_point(spec, i) for i in range(1, 2001)])
     assert np.abs(points(spec, 2000) - ref).max() < 1e-15
@@ -122,9 +130,8 @@ def test_equidistribution_box():
     assert abs(frac - 1.0 / 6.0) < 0.01
 
 
-@pytest.mark.parametrize("kind", ["van-der-corput", "halton", "scrambled-halton"])
-def test_coordinates_strictly_inside(kind):
-    dims = 1 if kind == "van-der-corput" else 4
+@pytest.mark.parametrize("kind,dims", KIND_CASES)
+def test_coordinates_strictly_inside(kind, dims):
     spec = SequenceSpec(kind, dims, permutation_seed=11)
     p = points(spec, 5000)
     assert np.all(p > 0.0)
@@ -145,7 +152,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SequenceSpec("sobol", 2)  # unknown kind
     with pytest.raises(ValueError):
-        SequenceSpec("van-der-corput", 2)
+        SequenceSpec("van-der-corput", 1)  # it is the one-dimensional "halton"
     with pytest.raises(ValueError):
         SequenceSpec("halton", 2, skip=-1)
 

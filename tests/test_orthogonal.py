@@ -23,7 +23,7 @@ from udortho.orthogonal import (
     random_ortho_batch,
     t_inverse,
 )
-from udortho.udsg import GeneratorSpec, gap_blocks, generated, r_sequence
+from udortho.udsg import gap_blocks, generated, r_sequence
 
 # first nine pairs of the square interleaving, as printed
 CONVOLUTION_PREFIX = [
@@ -297,11 +297,11 @@ def veech_prefix(spec, lvl, count):
     along the gap stream by `udsg.generated`."""
     if lvl == 2:
         return o2_from_points(points(spec.base_spec, count))
-    pairs = {j: convolution_index(j) for j in set(r_sequence(GeneratorSpec(), count))}
+    pairs = {j: convolution_index(j) for j in set(r_sequence(count))}
     lower = veech_prefix(spec, lvl - 1, max(b for _, b in pairs.values()))
     x = box_muller(points(spec.sphere_specs[lvl - 3], max(a for a, _ in pairs.values())), lvl)
     z = {j: t_inverse(x[a - 1], lower[b - 1]) for j, (a, b) in pairs.items()}
-    stream = generated(z.__getitem__, mul=np.matmul, identity=np.eye(lvl), spec=GeneratorSpec())
+    stream = generated(z.__getitem__, mul=np.matmul, identity=np.eye(lvl))
     return list(islice(stream, count))
 
 
@@ -383,7 +383,7 @@ def test_repair_count_counts_each_repaired_frame(monkeypatch):
     monkeypatch.setattr(orthogonal, "_REPAIR_TOL", -1.0)
     seq = OrthoSequence(spec)
     frames = seq.take(BLOCK + 1)
-    assert seq.repair_count == 2 * BLOCK + max(r_sequence(GeneratorSpec(), 2 * BLOCK))
+    assert seq.repair_count == 2 * BLOCK + max(r_sequence(2 * BLOCK))
     assert np.abs(frames - plain).max() < 1e-13
 
 
@@ -450,7 +450,7 @@ def test_veech_block_is_the_left_fold_of_its_factors(n):
     # 1 is folded into the row prefixes of the scan.  The running left fold
     # gives reduce(np.matmul, z[:m]) for every m, bit for bit.
     seq = OrthoSequence(default_ortho_spec(n))
-    r = np.concatenate(list(islice(gap_blocks(GeneratorSpec(), BLOCK), 3)))
+    r = np.concatenate(list(islice(gap_blocks(BLOCK), 3)))
     blocks = {j: seq.frames(1 + j * BLOCK, BLOCK) for j in (0, 2)}
     z = seq._z_table(n, int(r.max()))[r]
     fold = np.stack(list(accumulate(z, np.matmul)))

@@ -3,12 +3,9 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from udortho.lowdisc import SequenceSpec, points
 from udortho.udsg import (
-    GeneratorSpec,
     champernowne_digit,
     gap_blocks,
     generated,
@@ -36,31 +33,8 @@ def test_champernowne_against_concatenation():
 
 
 def test_occurrences_of_five():
-    spec = GeneratorSpec()
-    assert occurrence_positions(spec, 3) == [5, 21, 41]
-    assert r_sequence(spec, 3) == [4, 16, 20]
-
-
-@given(target=st.integers(0, 9))
-def test_gaps_positive_and_positions_increasing(target):
-    spec = GeneratorSpec(target_digit=target)
-    q = occurrence_positions(spec, 50)
-    assert all(b > a for a, b in zip(q, q[1:]))
-    assert all(r >= 1 for r in r_sequence(spec, 50))
-
-
-def test_target_one_first_occurrence_is_dropped_from_gaps():
-    spec = GeneratorSpec(target_digit=1)
-    assert occurrence_positions(spec, 3) == [1, 10, 12]
-    # q = 1 would give gap 0; the gap stream starts at the next occurrence
-    assert r_sequence(spec, 2) == [9, 2]
-
-
-def test_generator_spec_validation():
-    with pytest.raises(ValueError):
-        GeneratorSpec(target_digit=10)
-    with pytest.raises(ValueError):
-        GeneratorSpec(target_digit=-1)
+    assert occurrence_positions(3) == [5, 21, 41]
+    assert r_sequence(3) == [4, 16, 20]
 
 
 def test_generate_first_element_is_z4():
@@ -89,7 +63,7 @@ def test_generate_identity_absorption():
 def test_generated_stream_matches_generate():
     stream = generated(lambda j: j, mul=operator.add, identity=0)
     firsts = list(islice(stream, 10))
-    gaps = r_sequence(GeneratorSpec(), 10)
+    gaps = r_sequence(10)
     assert firsts == [sum(gaps[:m]) for m in range(1, 11)]
 
 
@@ -98,8 +72,8 @@ def test_generated_rotation_walk_equidistributes():
     # Corput point) along the gap sequence spread over the circle.  The walk
     # lives on a slowly refining dyadic angle grid, so the sup-CDF distance at
     # N = 1e4 is still ~0.04; assert the verified level, not an asymptotic one.
-    top = max(r_sequence(GeneratorSpec(), 10000))
-    angle = points(SequenceSpec("van-der-corput", 1), top)[:, 0]
+    top = max(r_sequence(10000))
+    angle = points(SequenceSpec("halton", 1), top)[:, 0]
 
     def z(j):
         return angle[j - 1]
@@ -115,22 +89,23 @@ def test_generated_rotation_walk_equidistributes():
     assert max(up, down) < 0.06
 
 
-@pytest.mark.parametrize("target", range(10))
-def test_gap_blocks_match_r_sequence(target, champernowne_positions):
-    # the blocks cross chunks of Champernowne integers and digit lengths;
-    # target 1 drops its occurrence at position 1 from the gaps only
-    spec = GeneratorSpec(target_digit=target)
-    q = champernowne_positions[target]
-    ref = np.diff(q[q > 1], prepend=1)[: 10**5]
+@pytest.mark.parametrize("window", range(10))
+def test_gap_blocks_match_r_sequence(window, champernowne_positions):
+    # gaps 1e4 w + 1 .. 1e4 (w + 1) of the digit 5, read in blocks of each
+    # size; the ten windows cover the first 1e5 gaps, which cross chunks of
+    # Champernowne integers and digit lengths
+    q = champernowne_positions[5]
+    ref = np.diff(q, prepend=1)[: 10**5]
     assert ref.size == 10**5
+    lo, hi = window * 10**4, (window + 1) * 10**4
     for size in (1, 7, 512, 10**5):
-        blocks = gap_blocks(spec, size)
-        got = np.concatenate([next(blocks) for _ in range(-(-(10**5) // size))])
-        assert np.array_equal(got[: 10**5], ref)
-    assert r_sequence(spec, 10**5) == ref.tolist()
-    assert occurrence_positions(spec, 10**5) == q[: 10**5].tolist()
+        blocks = gap_blocks(size)
+        got = np.concatenate([next(blocks) for _ in range(-(-hi // size))])
+        assert np.array_equal(got[lo:hi], ref[lo:hi])
+    assert r_sequence(hi)[lo:] == ref[lo:hi].tolist()
+    assert occurrence_positions(hi)[lo:] == q[lo:hi].tolist()
 
 
 def test_gap_blocks_validation():
     with pytest.raises(ValueError):
-        next(gap_blocks(GeneratorSpec(), 0))
+        next(gap_blocks(0))
