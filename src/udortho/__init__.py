@@ -42,7 +42,6 @@ from .orthogonal import (
     OrthoSequenceSpec,
     convolution_index,
     coset_rep,
-    default_ortho_spec,
     random_ortho_batch,
     t_inverse,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "convolution_index",
     "coset_rep",
     "crofton_constant",
-    "default_ortho_spec",
     "generated",
     "hull_measure",
     "load_polytope",

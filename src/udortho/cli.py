@@ -32,7 +32,7 @@ from .estimator import MODES, ExperimentSpec, compare, reference_value, run
 from .geometry import builtin, crofton_constant, load_polytope, random_spherical_polytope
 from .grassmann import beta_k
 from .lowdisc import KINDS, SequenceSpec
-from .orthogonal import OrthoSequence, default_ortho_spec, random_ortho_batch
+from .orthogonal import OrthoSequence, OrthoSequenceSpec, random_ortho_batch
 from .sphere import input_dims, sphere_points
 
 # Fixed seeds keep reproduce-tables byte-stable across runs.
@@ -231,7 +231,7 @@ def _gen_rows(args: argparse.Namespace):
         if GEN_MODES[mode] == "random":
             frames = random_ortho_batch(n, count, np.random.default_rng(seed))
         else:
-            ospec = default_ortho_spec(
+            ospec = OrthoSequenceSpec(
                 n, kind=seq_kind, permutation_seed=pseed, skip=skip,
                 veech=GEN_MODES[mode] == "qmc",
             )

@@ -29,13 +29,7 @@ from .geometry import (
     intrinsic_volume,
     projection_measure,
 )
-from .orthogonal import (
-    BLOCK,
-    OrthoSequence,
-    OrthoSequenceSpec,
-    default_ortho_spec,
-    random_ortho_batch,
-)
+from .orthogonal import BLOCK, OrthoSequence, OrthoSequenceSpec, random_ortho_batch
 
 MODES = ("random", "qmc", "qmc-noveech")
 
@@ -45,9 +39,10 @@ class ExperimentSpec:
     """Everything needed to reproduce one estimation run bit for bit.
 
     `seed` drives the random mode; `permutation_seed` the scrambling of the
-    quasi modes, which use the default level layout.  `trace_points` are the
-    sample counts at which the running mean is recorded; they default to (N,).
-    n, k, N and the trace points must be integers (not booleans).
+    quasi modes, whose level layout is `OrthoSequenceSpec`'s.  `trace_points`
+    are the sample counts at which the running mean is recorded; they
+    default to (N,).  n, k, N, the seeds and the trace points must be
+    integers (not booleans), and the seeds must be >= 0.
     """
 
     polytope: Polytope
@@ -61,10 +56,14 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         self.trace_points = tuple(self.trace_points) or (self.N,)
-        for name, value in (("n", self.n), ("k", self.k), ("N", self.N),
+        seeds = ("seed", self.seed), ("permutation_seed", self.permutation_seed)
+        for name, value in (("n", self.n), ("k", self.k), ("N", self.N), *seeds,
                             *(("trace point", t) for t in self.trace_points)):
             if not isinstance(value, Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, value in seeds:
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 1 <= self.k <= self.n - 1:
@@ -85,7 +84,7 @@ class ExperimentSpec:
             raise ValueError("trace points must lie in 1..N")
 
     def ortho_spec(self) -> OrthoSequenceSpec:
-        return default_ortho_spec(
+        return OrthoSequenceSpec(
             self.n, permutation_seed=self.permutation_seed, veech=self.mode == "qmc"
         )
 

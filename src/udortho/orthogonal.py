@@ -10,10 +10,7 @@ limit distribution is Haar either way: the coset map is continuous off the
 null set {e_1}, so the interleaved sequence is uniformly distributed on its
 own (the almost-continuity shortcut).  What the shortcut gives up is the
 rate, since each level sees only the square root of the indices above it.
-
-Level layout of the default spec: the O(2) base consumes the 2-D sequence
-with bases (2, 3); the sphere feeding level i (i = 3..n) consumes the next
-unused primes, so no 1-D coordinate stream is shared between levels.
+Which cube sequence feeds which level is fixed by `OrthoSequenceSpec`.
 
 Every step is computed a block of indices at a time.  Indices fall on a
 fixed grid of blocks of BLOCK (1..BLOCK, BLOCK+1..2 BLOCK, ...).  Without
@@ -30,8 +27,10 @@ with the number of frames read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 from math import isqrt
+from numbers import Integral
 from typing import Iterator
 
 import numpy as np
@@ -169,64 +168,47 @@ def t_inverse(x: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrthoSequenceSpec:
-    """Layout of the O(n) sequence: one cube spec per recursion level.
+    """Recipe for the O(n) sequence: n, the cube sequences of its levels and
+    whether the cumulative-product step is on.
 
-    `sphere_specs[i-3]` feeds the sphere S^(i-1) used at level i;
-    `base_spec` feeds the O(2) base.  `veech` switches the cumulative-product
-    step on (True) or off (the almost-continuity shortcut).  Both are
-    uniformly distributed, but the shortcut converges slowly: its first
-    N = K^2 elements use only about N^(1/2^(n-i+1)) distinct sphere points
-    at level i, and as many elements of level i-1.
+    Only n, `kind`, `permutation_seed`, `skip` and `veech` are set; the level
+    layout is derived.  `base_spec`, feeding the O(2) base, has bases (2, 3),
+    and `sphere_specs[i-3]`, feeding the sphere S^(i-1) used at level i, has
+    the next `input_dims(i)` unused primes, so no prime feeds two levels;
+    every level takes `kind`, `skip` and `permutation_seed`.  `veech`
+    switches the cumulative-product step on (True) or off (the
+    almost-continuity shortcut).  Both are uniformly distributed, but the
+    shortcut converges slowly: its first N = K^2 elements use only about
+    N^(1/2^(n-i+1)) distinct sphere points at level i, and as many elements
+    of level i-1.
     """
 
     n: int
-    base_spec: SequenceSpec
-    sphere_specs: tuple[SequenceSpec, ...] = ()
+    kind: str = "scrambled-halton"
+    permutation_seed: int = 0
+    skip: int = 0
     veech: bool = True
+    base_spec: SequenceSpec = field(init=False, repr=False, compare=False)
+    sphere_specs: tuple[SequenceSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.base_spec.dims != 2:
-            raise ValueError("the O(2) base needs a 2-dimensional spec")
-        if len(self.sphere_specs) != self.n - 2:
-            raise ValueError(
-                f"need {self.n - 2} sphere specs for levels 3..{self.n}, "
-                f"got {len(self.sphere_specs)}"
-            )
-        for i, spec in enumerate(self.sphere_specs, start=3):
-            if spec.dims != input_dims(i):
-                raise ValueError(
-                    f"level {i} sphere needs dims={input_dims(i)}, got {spec.dims}"
-                )
+        if not isinstance(self.n, Integral) or isinstance(self.n, bool) or self.n < 2:
+            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        if not isinstance(self.veech, bool):
+            raise ValueError(f"veech must be a bool, got {self.veech!r}")
+        dims = [2] + [input_dims(i) for i in range(3, self.n + 1)]
+        primes = iter(first_primes(sum(dims)))
+        base, *spheres = (
+            SequenceSpec(self.kind, d, tuple(islice(primes, d)), self.skip, self.permutation_seed)
+            for d in dims
+        )
+        object.__setattr__(self, "base_spec", base)
+        object.__setattr__(self, "sphere_specs", tuple(spheres))
 
 
-def default_ortho_spec(
-    n: int,
-    *,
-    kind: str = "scrambled-halton",
-    permutation_seed: int = 0,
-    skip: int = 0,
-    veech: bool = True,
-) -> OrthoSequenceSpec:
-    """Standard level layout with disjoint prime bases across levels."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    need = 2 + sum(input_dims(i) for i in range(3, n + 1))
-    primes = first_primes(need)
-    base = SequenceSpec(kind, 2, tuple(primes[:2]), skip, permutation_seed)
-    specs = []
-    offset = 2
-    for i in range(3, n + 1):
-        d = input_dims(i)
-        specs.append(SequenceSpec(kind, d, tuple(primes[offset : offset + d]), skip, permutation_seed))
-        offset += d
-    return OrthoSequenceSpec(
-        n=n,
-        base_spec=base,
-        sphere_specs=tuple(specs),
-        veech=veech,
-    )
+# `bench/workloads.py` builds its specs under this name, kept until the
+# benchmark calls `OrthoSequenceSpec`.
+default_ortho_spec = OrthoSequenceSpec
 
 
 def _gram_defects(w: np.ndarray) -> np.ndarray:

@@ -175,6 +175,19 @@ def test_estimate_config_refuses_non_integral_values(capsys, tmp_path, monkeypat
     assert repr(bad) in _config_error(capsys, tmp_path, ["estimate"], cfg)
 
 
+@pytest.mark.parametrize(
+    "flags", [["--permutation-seed", "-1"], ["--mode", "random", "--seed", "-1"]]
+)
+def test_estimate_refuses_a_negative_seed_before_running(capsys, monkeypatch, flags):
+    monkeypatch.setattr("udortho.cli.run", lambda spec: pytest.fail("run() was called"))
+    rc, out, err = run_cli(
+        capsys, ["estimate", "--polytope", "3-cube", "--k", "1", "--N", "10", *flags]
+    )
+    assert (rc, out) == (2, "")
+    assert err.count("\n") == 1
+    assert "must be >= 0" in json.loads(err)["error"]
+
+
 def test_config_takes_integral_numbers_and_strings(capsys, tmp_path):
     # 1000, 1000.0 and "1000" are one value, and so are 25, 25.0 and "25"
     path = tmp_path / "cfg.json"

@@ -48,6 +48,16 @@ def test_spec_refuses_non_integers(n, k, N, trace):
         ExperimentSpec(builtin("3-cube"), n, k, N, "qmc", trace_points=trace)
 
 
+@pytest.mark.parametrize("key", ["seed", "permutation_seed"])
+@pytest.mark.parametrize(
+    "value, message", [(True, "must be an integer"), (1.5, "must be an integer"), (-1, "must be >= 0")]
+)
+def test_spec_refuses_bad_seeds(key, value, message):
+    # a boolean seed is not seed 1, and a bad seed fails here, not inside run()
+    with pytest.raises(ValueError, match=f"^{key} {message}"):
+        ExperimentSpec(builtin("3-cube"), 3, 1, 10, "qmc", **{key: value})
+
+
 def test_spec_takes_numpy_integers():
     cube = builtin("3-cube")
     plain = run(ExperimentSpec(cube, 3, 1, 10, "qmc", trace_points=(5, 10)))

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from udortho import orthogonal
-from udortho.lowdisc import SequenceSpec, points
+from udortho.lowdisc import SequenceSpec, first_primes, points
 from udortho.orthogonal import (
     BLOCK,
     OrthoSequence,
@@ -23,6 +23,7 @@ from udortho.orthogonal import (
     random_ortho_batch,
     t_inverse,
 )
+from udortho.sphere import input_dims
 from udortho.udsg import gap_blocks, generated, r_sequence
 
 # first nine pairs of the square interleaving, as printed
@@ -67,7 +68,7 @@ def test_o2_matrix_examples():
 
 
 def test_o2_element_angle_and_sign():
-    seq = OrthoSequence(OrthoSequenceSpec(n=2, base_spec=SequenceSpec("halton", 2)))
+    seq = OrthoSequence(OrthoSequenceSpec(2, kind="halton"))
     m = seq.element(1)  # point (1/2, 1/3): angle pi, positive sign
     np.testing.assert_allclose(m, [[-1, 0], [0, -1]], atol=1e-15)
     assert np.linalg.det(m) == pytest.approx(1.0)
@@ -153,14 +154,44 @@ def test_default_spec_layout_disjoint_primes():
     assert [s.dims for s in spec.sphere_specs] == [4, 4, 6]
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("kind, skip, pseed", [("scrambled-halton", 0, 0), ("halton", 5, 2)])
+def test_spec_layout_is_the_disjoint_prime_rule(n, kind, skip, pseed):
+    # the O(2) base takes bases (2, 3) and level i the next input_dims(i)
+    # unused primes; kind, skip and permutation_seed reach every level
+    spec = OrthoSequenceSpec(n, kind=kind, permutation_seed=pseed, skip=skip)
+    primes = first_primes(2 + sum(input_dims(i) for i in range(3, n + 1)))
+    assert spec.base_spec == SequenceSpec(kind, 2, (2, 3), skip, pseed)
+    spheres, offset = [], 2
+    for i in range(3, n + 1):
+        d = input_dims(i)
+        spheres.append(SequenceSpec(kind, d, tuple(primes[offset : offset + d]), skip, pseed))
+        offset += d
+    assert spec.sphere_specs == tuple(spheres)
+    used = [b for s in (spec.base_spec, *spec.sphere_specs) for b in s.bases]
+    assert sorted(used) == primes
+
+
+def test_spec_layout_is_derived_not_set():
+    spec = OrthoSequenceSpec(3)
+    for name in ("base_spec", "sphere_specs"):
+        with pytest.raises(TypeError):
+            OrthoSequenceSpec(3, **{name: getattr(spec, name)})
+        with pytest.raises(AttributeError):
+            setattr(spec, name, getattr(spec, name))
+        assert name not in repr(spec)
+    assert spec == OrthoSequenceSpec(3) and hash(spec) == hash(OrthoSequenceSpec(3))
+    assert spec != OrthoSequenceSpec(3, veech=False)
+
+
 def test_spec_validation():
-    base = SequenceSpec("halton", 2)
-    with pytest.raises(ValueError):
-        OrthoSequenceSpec(n=3, base_spec=base, sphere_specs=())
-    with pytest.raises(ValueError):
-        OrthoSequenceSpec(n=3, base_spec=base, sphere_specs=(SequenceSpec("halton", 2),))
-    with pytest.raises(ValueError):
-        OrthoSequenceSpec(n=2, base_spec=SequenceSpec("halton", 3))
+    for n in (1, 0, -3, 2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            OrthoSequenceSpec(n)
+    for veech in ("no", 1, 0, None, np.bool_(True)):
+        with pytest.raises(ValueError, match="veech must be a bool"):
+            OrthoSequenceSpec(4, veech=veech)
+    assert OrthoSequenceSpec(np.int64(3)).sphere_specs == OrthoSequenceSpec(3).sphere_specs
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
