@@ -10,10 +10,10 @@ reproduce-tables  run the full benchmark grid and write table1.csv,
 Run it as `udortho <command>` once installed, or as `python -m udortho
 <command>` with `src` on the path.
 
-Every command is deterministic: random modes take explicit seeds, and
-`reproduce-tables` uses fixed documented constants unless --fresh-seed is
-given.  Floats are printed with 17 significant digits so CSV files
-round-trip bit for bit.
+Every command is deterministic.  A run's one seed, --seed, drives the Haar
+draws of random mode and the digit scrambling of the quasi modes and of
+`gen sphere`; `reproduce-tables` uses fixed seeds unless --fresh-seed is
+given.  Floats carry 17 significant digits, so CSV files round-trip.
 """
 
 from __future__ import annotations
@@ -97,10 +97,15 @@ def _load_config(path: str | None) -> dict:
 def _merged(args: argparse.Namespace) -> dict:
     """Config file values overridden by any flag that was actually given.
 
-    A config key is the flag's name with "_" for "-" (`permutation_seed`
-    for --permutation-seed), as argparse names its destination."""
+    A config key is a flag's name with "_" for "-" (`polytope_file` for
+    --polytope-file), as argparse names its destination.  Other keys, and
+    the namespace's four non-flag names, are refused rather than ignored."""
+    cfg = _load_config(args.config)
+    unknown = sorted(cfg.keys() - (vars(args).keys() - {"command", "func", "what", "config"}))
+    if unknown:
+        raise CliError(f"unknown {args.command} config keys {unknown}")
     flags = {key: val for key, val in vars(args).items() if val is not None}
-    return {**_load_config(args.config), **flags}
+    return {**cfg, **flags}
 
 
 def _resolve_polytope(cfg: dict):
@@ -169,12 +174,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     try:
         spec = ExperimentSpec(
             polytope=poly,
-            n=_int(cfg.get("n", poly.n), "n"),
+            n=poly.n,
             k=_int(_require(cfg, "k"), "k"),
             N=_int(_require(cfg, "N"), "N"),
             mode=str(cfg.get("mode", "qmc")),
             seed=_int(cfg.get("seed", 0), "seed"),
-            permutation_seed=_int(cfg.get("permutation_seed", 0), "permutation_seed"),
             trace_points=_parse_trace(cfg.get("trace")),
         )
     except (TypeError, ValueError) as exc:
@@ -197,7 +201,6 @@ def _gen_rows(args: argparse.Namespace):
     cfg = _merged(args)
     kind = args.what
     count = _int(_require(cfg, "count"), "count")
-    pseed = _int(cfg.get("permutation_seed", 0), "permutation_seed")
     skip = _int(cfg.get("skip", 0), "skip")
     seed = _int(cfg.get("seed", 0), "seed")
     n = _int(_require(cfg, "n"), "n") if kind != "udsg" else None
@@ -216,7 +219,7 @@ def _gen_rows(args: argparse.Namespace):
 
     if kind == "sphere":
         try:
-            spec = SequenceSpec(seq_kind, input_dims(n), skip=skip, permutation_seed=pseed)
+            spec = SequenceSpec(seq_kind, input_dims(n), skip=skip, permutation_seed=seed)
             pts = sphere_points(n, spec, count)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
@@ -232,7 +235,7 @@ def _gen_rows(args: argparse.Namespace):
             frames = random_ortho_batch(n, count, np.random.default_rng(seed))
         else:
             ospec = OrthoSequenceSpec(
-                n, kind=seq_kind, permutation_seed=pseed, skip=skip,
+                n, kind=seq_kind, permutation_seed=seed, skip=skip,
                 veech=GEN_MODES[mode] == "qmc",
             )
             frames = OrthoSequence(ospec).take(count)
@@ -294,7 +297,8 @@ def cmd_reproduce_tables(args: argparse.Namespace) -> int:
     else:
         base_seed = TABLE_BASE_SEED
 
-    # one seed per (table, body, mode) cell so cells stay independent
+    # one seed per (table, body, mode) cell so cells stay independent; the qr
+    # cells draw theirs but keep seed 0, the published tables' scrambling
     next_seed = iter(range(base_seed, base_seed + 10_000))
 
     rows1 = []
@@ -302,7 +306,7 @@ def cmd_reproduce_tables(args: argparse.Namespace) -> int:
         for mode, algo in (("random", "r"), ("qmc", "qr")):
             seed = next(next_seed)
             traces = {
-                k: run(ExperimentSpec(body, 3, k, 1000, mode, seed=seed,
+                k: run(ExperimentSpec(body, 3, k, 1000, mode, seed=seed if mode == "random" else 0,
                                       trace_points=(10, 100, 1000)))
                 for k in (1, 2)
             }
@@ -315,7 +319,8 @@ def cmd_reproduce_tables(args: argparse.Namespace) -> int:
     for body in _table_bodies_4d():
         for mode, algo in (("random", "r"), ("qmc", "qr")):
             seed = next(next_seed)
-            trace = run(ExperimentSpec(body, 4, 3, 10000, mode, seed=seed,
+            trace = run(ExperimentSpec(body, 4, 3, 10000, mode,
+                                       seed=seed if mode == "random" else 0,
                                        trace_points=(10, 100, 1000, 10000)))
             for N in (10, 100, 1000, 10000):
                 rows2.append((body.label, algo, len(body.vertices), N, trace.value_at(N)))
@@ -362,12 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--config", help="JSON config file; flags override it")
     p_est.add_argument("--polytope", help="builtin label")
     p_est.add_argument("--polytope-file", help="JSON polytope document")
-    p_est.add_argument("--n", type=int)
     p_est.add_argument("--k", type=int)
     p_est.add_argument("--N", type=int)
     p_est.add_argument("--mode", choices=MODES)
     p_est.add_argument("--seed", type=int)
-    p_est.add_argument("--permutation-seed", type=int)
     p_est.add_argument("--trace", help="comma-separated counts to record")
     p_est.add_argument("--reference", type=float,
                        help="reference value for the abs_err column")
@@ -383,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--mode", choices=sorted(GEN_MODES))
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--kind", choices=KINDS)
-    p_gen.add_argument("--permutation-seed", type=int)
     p_gen.add_argument("--skip", type=int)
     p_gen.add_argument("--output", help="CSV path (default: stdout)")
     p_gen.set_defaults(func=cmd_gen)

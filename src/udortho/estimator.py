@@ -38,11 +38,11 @@ MODES = ("random", "qmc", "qmc-noveech")
 class ExperimentSpec:
     """Everything needed to reproduce one estimation run bit for bit.
 
-    `seed` drives the random mode; `permutation_seed` the scrambling of the
-    quasi modes, whose level layout is `OrthoSequenceSpec`'s.  `trace_points`
-    are the sample counts at which the running mean is recorded; they
-    default to (N,).  n, k, N, the seeds and the trace points must be
-    integers (not booleans), and the seeds must be >= 0.
+    `seed` is the run's one seed: the Haar draws of random mode, or the
+    digit scrambling (`permutation_seed`) of the quasi modes, whose level
+    layout is `OrthoSequenceSpec`'s.  `trace_points` are the sample counts
+    at which the running mean is recorded, (N,) by default.  n, k, N, the
+    seed and the trace points must be integers (not booleans), seed >= 0.
     """
 
     polytope: Polytope
@@ -51,19 +51,16 @@ class ExperimentSpec:
     N: int
     mode: str = "qmc"
     seed: int = 0
-    permutation_seed: int = 0
     trace_points: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         self.trace_points = tuple(self.trace_points) or (self.N,)
-        seeds = ("seed", self.seed), ("permutation_seed", self.permutation_seed)
-        for name, value in (("n", self.n), ("k", self.k), ("N", self.N), *seeds,
+        for name, value in (("n", self.n), ("k", self.k), ("N", self.N), ("seed", self.seed),
                             *(("trace point", t) for t in self.trace_points)):
             if not isinstance(value, Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name, value in seeds:
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 1 <= self.k <= self.n - 1:
@@ -84,9 +81,7 @@ class ExperimentSpec:
             raise ValueError("trace points must lie in 1..N")
 
     def ortho_spec(self) -> OrthoSequenceSpec:
-        return OrthoSequenceSpec(
-            self.n, permutation_seed=self.permutation_seed, veech=self.mode == "qmc"
-        )
+        return OrthoSequenceSpec(self.n, permutation_seed=self.seed, veech=self.mode == "qmc")
 
 
 @dataclass

@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, factorial, gamma, pi, sqrt
+from numbers import Real
 from pathlib import Path
 from typing import Callable
 
@@ -115,7 +116,9 @@ def random_spherical_polytope(n: int, count: int, seed: int) -> Polytope:
 
 
 def load_polytope(source: str | Path | dict) -> Polytope:
-    """Polytope from a JSON document {"n": ..., "label": ..., "vertices": [[...]]}."""
+    """Polytope from a JSON document {"n": ..., "label": ..., "vertices": [[...]]}.
+
+    n must be an integral number (3 or 3.0, not 3.7, true or "3")."""
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -126,7 +129,10 @@ def load_polytope(source: str | Path | dict) -> Polytope:
     missing = {"n", "vertices"} - doc.keys()
     if missing:
         raise ValueError(f"polytope document lacks keys: {sorted(missing)}")
-    return Polytope(int(doc["n"]), np.asarray(doc["vertices"], dtype=float), str(doc.get("label", "")))
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, Real) or not float(n).is_integer():
+        raise ValueError(f"n must be an integer, got {n!r}")
+    return Polytope(int(n), np.asarray(doc["vertices"], dtype=float), str(doc.get("label", "")))
 
 
 def polytope_to_dict(p: Polytope) -> dict:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from numbers import Integral
 
 import numpy as np
 
@@ -67,7 +68,9 @@ class SequenceSpec:
     `bases` defaults to the first `dims` primes and must be pairwise
     coprime.  `skip` discards that many leading indices.  Scrambling uses
     one digit permutation per base, derived from `permutation_seed` by
-    `digit_permutation`; all permutations fix digit 0.
+    `digit_permutation`; all permutations fix digit 0.  dims, skip, the
+    seed and the bases must be integers (not booleans); numpy integers are
+    stored as ints.
     """
 
     kind: str = "halton"
@@ -79,6 +82,14 @@ class SequenceSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown sequence kind {self.kind!r}")
+        for name, value in (("dims", self.dims), ("skip", self.skip),
+                            ("permutation_seed", self.permutation_seed),
+                            *(("base", b) for b in self.bases)):
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # numpy integers would overflow in the scrambling hash
+        for name in ("dims", "skip", "permutation_seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.dims < 1:
             raise ValueError(f"dims must be >= 1, got {self.dims}")
         if self.skip < 0:

@@ -104,7 +104,7 @@ def test_gen_grassmann_rows_are_the_first_k_columns(capsys, mode):
     rc, out, _ = run_cli(
         capsys,
         ["gen", "grassmann", "--n", "4", "--k", "2", "--count", "700", "--mode", mode,
-         "--seed", "5", "--permutation-seed", "3"],
+         "--seed", "5"],
     )
     assert rc == 0
     header, rows = parse_csv(out)
@@ -114,7 +114,7 @@ def test_gen_grassmann_rows_are_the_first_k_columns(capsys, mode):
     if mode == "random":
         frames = random_ortho_batch(4, 700, np.random.default_rng(5))
     else:
-        spec = default_ortho_spec(4, permutation_seed=3, veech=mode == "qr")
+        spec = default_ortho_spec(4, permutation_seed=5, veech=mode == "qr")
         frames = OrthoSequence(spec).take(700)
     assert np.array_equal(got, frames[:, :, :2])
 
@@ -137,7 +137,7 @@ def _config_error(capsys, tmp_path, argv, cfg):
 @pytest.mark.parametrize(
     "what, key",
     [("udsg", "count"), ("sphere", "n"), ("grassmann", "k"), ("ortho", "seed"),
-     ("sphere", "permutation_seed"), ("ortho", "skip")],
+     ("sphere", "seed"), ("ortho", "skip")],
 )
 def test_gen_config_rejects_non_numbers(capsys, tmp_path, what, key):
     cfg = {"n": 3, "k": 1, "count": 2, key: "x"}
@@ -155,7 +155,7 @@ def test_estimate_config_rejects_non_numbers_before_running(capsys, tmp_path, mo
 @pytest.mark.parametrize(
     "what, key",
     [("udsg", "count"), ("sphere", "n"), ("grassmann", "k"), ("ortho", "seed"),
-     ("sphere", "permutation_seed"), ("ortho", "skip")],
+     ("sphere", "seed"), ("ortho", "skip")],
 )
 def test_gen_config_refuses_non_integral_values(capsys, tmp_path, what, key, value):
     # a fractional or boolean integer parameter is an error, not truncated
@@ -165,7 +165,7 @@ def test_gen_config_refuses_non_integral_values(capsys, tmp_path, what, key, val
 
 @pytest.mark.parametrize(
     "key, value",
-    [("N", 10.9), ("n", 3.5), ("k", True), ("seed", 0.5), ("permutation_seed", False),
+    [("N", 10.9), ("k", 2.5), ("k", True), ("seed", 0.5), ("seed", False),
      ("trace", [3.5, 10]), ("trace", [True, 10])],
 )
 def test_estimate_config_refuses_non_integral_values(capsys, tmp_path, monkeypatch, key, value):
@@ -176,7 +176,7 @@ def test_estimate_config_refuses_non_integral_values(capsys, tmp_path, monkeypat
 
 
 @pytest.mark.parametrize(
-    "flags", [["--permutation-seed", "-1"], ["--mode", "random", "--seed", "-1"]]
+    "flags", [["--seed", "-1"], ["--mode", "random", "--seed", "-1"]]
 )
 def test_estimate_refuses_a_negative_seed_before_running(capsys, monkeypatch, flags):
     monkeypatch.setattr("udortho.cli.run", lambda spec: pytest.fail("run() was called"))
@@ -186,6 +186,34 @@ def test_estimate_refuses_a_negative_seed_before_running(capsys, monkeypatch, fl
     assert (rc, out) == (2, "")
     assert err.count("\n") == 1
     assert "must be >= 0" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("estimate", "permutation_seed"), ("estimate", "n"), ("estimate", "premutation_seed"),
+     ("gen", "trace"), ("gen", "permutation_seed")],
+)
+def test_config_keys_must_be_flags(capsys, tmp_path, monkeypatch, command, key):
+    # a retired or misspelt key is an error, not a run with the default
+    monkeypatch.setattr("udortho.cli.run", lambda spec: pytest.fail("run() was called"))
+    monkeypatch.setattr("udortho.cli.OrthoSequence", lambda spec: pytest.fail("frames were drawn"))
+    argv, cfg = {"estimate": (["estimate"], {"polytope": "3-cube", "k": 1, "N": 10}),
+                 "gen": (["gen", "ortho"], {"n": 3, "count": 2})}[command]
+    assert repr(key) in _config_error(capsys, tmp_path, argv, {**cfg, key: 4})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate", "--polytope", "3-cube", "--k", "1", "--N", "50", "--mode", mode]
+     for mode in ("random", "qmc", "qmc-noveech")]
+    + [["gen", what, "--n", "3", "--count", "5"] for what in ("sphere", "ortho")],
+    ids=["random", "qmc", "qmc-noveech", "sphere", "ortho"],
+)
+def test_seed_drives_every_mode(capsys, argv):
+    # a run's one seed is the Haar draws in random mode and the digit
+    # scrambling otherwise
+    outputs = {run_cli(capsys, [*argv, "--seed", seed])[1] for seed in ("0", "5")}
+    assert len(outputs) == 2
 
 
 def test_config_takes_integral_numbers_and_strings(capsys, tmp_path):
@@ -228,7 +256,7 @@ def test_estimate_refuses_a_non_finite_or_boolean_reference(capsys, tmp_path, mo
 def test_estimate_stdout_trace(capsys):
     rc, out, _ = run_cli(
         capsys,
-        ["estimate", "--polytope", "3-cube", "--n", "3", "--k", "1",
+        ["estimate", "--polytope", "3-cube", "--k", "1",
          "--N", "200", "--mode", "qmc", "--trace", "100,200", "--reference", "1.5"],
     )
     assert rc == 0
@@ -246,7 +274,7 @@ def test_estimate_floats_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "trace.csv"
     rc, _, _ = run_cli(
         capsys,
-        ["estimate", "--polytope", "3-cube", "--n", "3", "--k", "2",
+        ["estimate", "--polytope", "3-cube", "--k", "2",
          "--N", "150", "--mode", "qmc", "--output", str(out_path)],
     )
     assert rc == 0
@@ -262,19 +290,19 @@ def test_estimate_ci_is_the_crofton_constant_times_i(capsys):
     rc, out, _ = run_cli(
         capsys,
         ["estimate", "--polytope", "4-cube", "--k", "3", "--N", "100", "--mode", "qmc",
-         "--permutation-seed", "1", "--trace", ",".join(map(str, range(1, 101)))],
+         "--seed", "1", "--trace", ",".join(map(str, range(1, 101)))],
     )
     assert rc == 0
     _, rows = parse_csv(out)
     c = crofton_constant(4, 3)
     assert [row[3] for row in rows] == [f"{c * float(row[2]):.17g}" for row in rows]
-    trace = run(ExperimentSpec(builtin("4-cube"), 4, 3, 100, "qmc", permutation_seed=1))
+    trace = run(ExperimentSpec(builtin("4-cube"), 4, 3, 100, "qmc", seed=1))
     assert rows[-1][3] == f"{trace.intrinsic:.17g}"
 
 
 def test_estimate_unknown_polytope_exits_2(capsys):
     rc, _, err = run_cli(
-        capsys, ["estimate", "--polytope", "unknown-body", "--n", "3", "--k", "1", "--N", "10"]
+        capsys, ["estimate", "--polytope", "unknown-body", "--k", "1", "--N", "10"]
     )
     assert rc == 2
     payload = json.loads(err.strip())
@@ -302,8 +330,19 @@ def test_estimate_bad_polytope_file(capsys, tmp_path):
     assert "error" in json.loads(err.strip())
 
 
+@pytest.mark.parametrize("n", [3.7, True])
+def test_estimate_refuses_a_polytope_file_with_a_non_integral_n(capsys, tmp_path, monkeypatch, n):
+    monkeypatch.setattr("udortho.cli.run", lambda spec: pytest.fail("run() was called"))
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({**polytope_to_dict(builtin("3-simplex")), "n": n}))
+    rc, out, err = run_cli(capsys, ["estimate", "--polytope-file", str(path), "--k", "1", "--N", "10"])
+    assert (rc, out) == (2, "")
+    assert err.count("\n") == 1
+    assert "n must be an integer" in json.loads(err)["error"]
+
+
 def test_estimate_config_file_with_flag_override(capsys, tmp_path):
-    cfg = {"polytope": "3-cube", "n": 3, "k": 1, "N": 120, "mode": "qmc", "trace": "120"}
+    cfg = {"polytope": "3-cube", "k": 1, "N": 120, "mode": "qmc", "trace": "120"}
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))
     rc, out_base, _ = run_cli(capsys, ["estimate", "--config", str(cfg_path)])
@@ -327,8 +366,8 @@ def test_estimate_config_matches_flags(capsys, tmp_path):
     cfg_path = tmp_path / "run.json"
     for body in ({"polytope": "k-icosahedron"}, {"polytope_file": str(doc_path)}):
         for mode in ("random", "qmc"):
-            cfg = {**body, "n": 3, "k": 2, "N": 300, "mode": mode, "seed": 7,
-                   "permutation_seed": 2, "trace": [10, 100, 300], "reference": 25.0}
+            cfg = {**body, "k": 2, "N": 300, "mode": mode, "seed": 7,
+                   "trace": [10, 100, 300], "reference": 25.0}
             flags = []
             for key, value in cfg.items():
                 text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
@@ -352,11 +391,10 @@ def test_gen_config_matches_flags(capsys, tmp_path):
     # every gen parameter given in a config file prints the bytes that the
     # same parameters given as flags print, and each parameter is read:
     # changing any one of them changes the G(n, k) rows
-    base = {"n": 4, "k": 2, "count": 40, "mode": "qr", "seed": 3, "kind": "halton",
-            "permutation_seed": 2, "skip": 5}
+    base = {"n": 4, "k": 2, "count": 40, "mode": "qr", "seed": 3, "kind": "halton", "skip": 5}
     changes = [{}, {"n": 3}, {"k": 1}, {"count": 41}, {"mode": "qr-noveech"},
                {"mode": "random"}, {"mode": "random", "seed": 4},
-               {"kind": "scrambled-halton"}, {"kind": "scrambled-halton", "permutation_seed": 3},
+               {"kind": "scrambled-halton"}, {"kind": "scrambled-halton", "seed": 4},
                {"skip": 6}]
     cfg_path = tmp_path / "gen.json"
     for what in ("sphere", "ortho", "grassmann", "udsg"):

@@ -48,7 +48,7 @@ def test_spec_refuses_non_integers(n, k, N, trace):
         ExperimentSpec(builtin("3-cube"), n, k, N, "qmc", trace_points=trace)
 
 
-@pytest.mark.parametrize("key", ["seed", "permutation_seed"])
+@pytest.mark.parametrize("key", ["seed"])
 @pytest.mark.parametrize(
     "value, message", [(True, "must be an integer"), (1.5, "must be an integer"), (-1, "must be >= 0")]
 )

@@ -88,6 +88,14 @@ def test_polytope_json_roundtrip(tmp_path):
     assert np.array_equal(loaded.vertices, poly.vertices)
     with pytest.raises(ValueError):
         load_polytope({"label": "no-vertices"})
+    assert load_polytope({**polytope_to_dict(poly), "n": 3.0}).n == 3
+
+
+@pytest.mark.parametrize("n", [3.7, True, "3", None, float("inf")])
+def test_load_polytope_refuses_a_non_integral_n(n):
+    # "n": 3.7 is not a 3-polytope, and "n": true is not a 1-polytope
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        load_polytope({**polytope_to_dict(builtin("3-simplex")), "n": n})
 
 
 # ---------------------------------------------------------------- projection

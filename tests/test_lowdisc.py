@@ -157,6 +157,31 @@ def test_spec_validation():
         SequenceSpec("halton", 2, skip=-1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("dims", True), ("dims", 2.0), ("skip", True), ("skip", 2.5), ("skip", "1"),
+     ("permutation_seed", True), ("permutation_seed", 1.5), ("permutation_seed", None),
+     ("bases", (2, 3.0)), ("bases", (True, 3))],
+)
+def test_spec_refuses_non_integers(field, value):
+    # a boolean is not 1 and a fraction is not truncated, and both fail
+    # here, not at the first points() call
+    with pytest.raises(ValueError, match="must be an integer"):
+        SequenceSpec("scrambled-halton", **{"dims": 2, field: value})
+
+
+def test_spec_takes_numpy_integers():
+    # they are stored as ints: an int64 seed would overflow in the hash of
+    # digit_permutation (a seed no other test caches there as an int)
+    wide = SequenceSpec("scrambled-halton", np.int64(2), (np.int64(2), np.int32(3)),
+                        np.int64(3), np.int64(987_654_321))
+    assert all(type(v) is int for v in (wide.dims, *wide.bases, wide.skip, wide.permutation_seed))
+    got = points(wide, 20)
+    plain = SequenceSpec("scrambled-halton", 2, (2, 3), 3, 987_654_321)
+    assert wide == plain
+    assert np.array_equal(got, points(plain, 20))
+
+
 def test_points_reject_indices_past_int64():
     # the indices are int64: past 2^63 - 1 they would wrap to negative values
     top = 2**63 - 1

@@ -191,6 +191,10 @@ def test_spec_validation():
     for veech in ("no", 1, 0, None, np.bool_(True)):
         with pytest.raises(ValueError, match="veech must be a bool"):
             OrthoSequenceSpec(4, veech=veech)
+    for field in ("skip", "permutation_seed"):
+        for value in (True, 1.5):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                OrthoSequenceSpec(3, **{field: value})
     assert OrthoSequenceSpec(np.int64(3)).sphere_specs == OrthoSequenceSpec(3).sphere_specs
 
 
@@ -488,3 +492,46 @@ def test_veech_block_is_the_left_fold_of_its_factors(n):
     assert np.array_equal(fold[BLOCK + 7], reduce(np.matmul, z[: BLOCK + 8]))
     for j, frames in blocks.items():
         assert np.abs(frames - fold[j * BLOCK : (j + 1) * BLOCK]).max() < 1e-13
+
+
+# Weyl sums of the default sequence (seed 0) at N = 10^4, against their
+# Haar values of 0: degree 1 max|E g|, degree 2 max|E g_ij g_kl - d_ik d_jl / n|
+# and the determinant character |E det g|.  Recorded at seed 0, degree 1 /
+# degree 2 / det: n = 3 6.7e-3 / 2.7e-2 / 4.2e-3, n = 4 3.1e-2 / 1.5e-2 /
+# 0.36, n = 5 2.9e-2 / 9.7e-3 / 5e-16.  Over seeds 0-3 the largest readings
+# are 5.9e-2 / 2.7e-2 / 1.2e-2 (det at n = 3); Haar draws read about 1e-2.
+# Each bound is that largest reading with a margin of 1.35x, 1.5x and 2.5x.
+WEYL_N = 10_000
+WEYL_BOUNDS = {"degree 1": 0.08, "degree 2": 0.04, "det": 0.03}
+
+
+def weyl_sums(n):
+    g = OrthoSequence(OrthoSequenceSpec(n)).take(WEYL_N)
+    flat = g.reshape(WEYL_N, n * n)
+    return {
+        "degree 1": np.abs(flat.mean(axis=0)).max(),
+        "degree 2": np.abs(flat.T @ flat / WEYL_N - np.eye(n * n) / n).max(),
+        "det": abs(np.linalg.det(g).mean()),
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_weyl_sums_of_degree_1_and_2(n):
+    sums = weyl_sums(n)
+    for degree in ("degree 1", "degree 2"):
+        assert sums[degree] < WEYL_BOUNDS[degree], (degree, sums[degree])
+
+
+@pytest.mark.parametrize("n", [
+    3,
+    pytest.param(4, marks=pytest.mark.xfail(strict=True, reason=(
+        "a known deviation: at n = 4 only about 8% of the first 1e6 Veech gaps r "
+        "have det z_r = -1 (the common gaps 1-7 all give +1), so the sign of the "
+        "products flips rarely and E det g reads +0.36 at N = 1e4, -0.14 at 1e5 "
+        "and +0.31 at 1e6; the Crofton estimates, which read only span g[:, k:], "
+        "do not see it"))),
+    5,
+])
+def test_weyl_sum_of_the_determinant(n):
+    # at n = 5 every z_r has det -1, so the sign alternates exactly
+    assert weyl_sums(n)["det"] < WEYL_BOUNDS["det"]
