@@ -2,13 +2,23 @@
 
 Commands
 --------
-gen               emit a sequence prefix (sphere / ortho / grassmann / udsg) as CSV
+gen TARGET        emit a sequence prefix as CSV; every target takes --config,
+                  --count and --output, and besides
+                    sphere     --n --seed --kind --skip
+                    ortho      --n --mode --seed --kind --skip
+                    grassmann  --n --k --mode --seed --kind --skip
+                    udsg       nothing more
 estimate          run one Crofton experiment and emit its convergence trace
 reproduce-tables  run the full benchmark grid and write table1.csv,
                   table2.csv, figure1.csv (plus JSON summaries)
 
 Run it as `udortho <command>` once installed, or as `python -m udortho
 <command>` with `src` on the path.
+
+Each flag is declared once, in `_FLAGS`; `estimate` and each gen target list
+the flags they read, and their config files may hold only those keys.
+--mode takes `estimator.MODES` (default qmc) and --kind `lowdisc.KINDS`;
+--kind and --skip choose the quasi sequence, so random mode refuses them.
 
 Every command is deterministic.  A run's one seed, --seed, drives the Haar
 draws of random mode and the digit scrambling of the quasi modes and of
@@ -41,7 +51,18 @@ RPOLY_SEED_3D_50 = 501
 RPOLY_SEED_3D_150 = 502
 RPOLY_SEED_4D_50 = 503
 
-GEN_MODES = {"qr": "qmc", "qr-noveech": "qmc-noveech", "random": "random"}
+# Each flag of estimate and gen, as argparse arguments keyed by the flag's name.
+_FLAGS = {
+    "config": {"help": "JSON config file; flags override it"},
+    "polytope": {"help": "builtin label"},
+    "polytope-file": {"help": "JSON polytope document"},
+    **dict.fromkeys(("n", "k", "N", "count", "seed", "skip"), {"type": int}),
+    "mode": {"choices": MODES, "help": "default: qmc"},
+    "kind": {"choices": KINDS, "help": "default: scrambled-halton"},
+    "trace": {"help": "comma-separated counts to record"},
+    "reference": {"type": float, "help": "reference value for the abs_err column"},
+    "output": {"help": "CSV path (default: stdout)"},
+}
 
 
 def _fmt(x) -> str:
@@ -101,7 +122,7 @@ def _merged(args: argparse.Namespace) -> dict:
     --polytope-file), as argparse names its destination.  Other keys, and
     the namespace's four non-flag names, are refused rather than ignored."""
     cfg = _load_config(args.config)
-    unknown = sorted(cfg.keys() - (vars(args).keys() - {"command", "func", "what", "config"}))
+    unknown = sorted(cfg.keys() - (vars(args).keys() - {"command", "func", "rows", "config"}))
     if unknown:
         raise CliError(f"unknown {args.command} config keys {unknown}")
     flags = {key: val for key, val in vars(args).items() if val is not None}
@@ -124,6 +145,14 @@ def _resolve_polytope(cfg: dict):
         except ValueError as exc:
             raise CliError(str(exc)) from exc
     raise CliError("a polytope label or file is required")
+
+
+def _output(cfg: dict) -> Path | None:
+    """The CSV path, or None for stdout; checked before any work is done."""
+    out = cfg.get("output")
+    if out is not None and not isinstance(out, str):
+        raise CliError(f"output must be a path string, got {out!r}")
+    return Path(out) if out else None
 
 
 def _require(cfg: dict, key: str):
@@ -170,6 +199,7 @@ def _parse_trace(value) -> tuple[int, ...]:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _merged(args)
+    out = _output(cfg)
     poly = _resolve_polytope(cfg)
     try:
         spec = ExperimentSpec(
@@ -192,74 +222,69 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     for m, val in trace.points:
         err = abs(val - reference) if reference is not None else ""
         rows.append((spec.mode, m, val, c * val, err))
-    out = cfg.get("output")
-    _write_csv(Path(out) if out else None, ["mode", "m", "I", "cI", "abs_err"], rows)
+    _write_csv(out, ["mode", "m", "I", "cI", "abs_err"], rows)
     return 0
 
 
-def _gen_rows(args: argparse.Namespace):
-    cfg = _merged(args)
-    kind = args.what
-    count = _int(_require(cfg, "count"), "count")
-    skip = _int(cfg.get("skip", 0), "skip")
-    seed = _int(cfg.get("seed", 0), "seed")
-    n = _int(_require(cfg, "n"), "n") if kind != "udsg" else None
-    k = _int(_require(cfg, "k"), "k") if kind == "grassmann" else None
-    if count < 1:
-        raise CliError("count must be >= 1")
-    seq_kind = str(cfg.get("kind", "scrambled-halton"))
-
-    if kind == "udsg":
-        # one gap block gives both columns: q_m = 1 + r_1 + ... + r_m
-        r = udsg.r_sequence(count)
-        q = (1 + np.cumsum(r)).tolist()
-        header = ["m", "q", "r"]
-        rows = [(m, q[m - 1], r[m - 1]) for m in range(1, count + 1)]
-        return cfg, header, rows
-
-    if kind == "sphere":
-        try:
-            spec = SequenceSpec(seq_kind, input_dims(n), skip=skip, permutation_seed=seed)
-            pts = sphere_points(n, spec, count)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        header = ["m"] + [f"x{i}" for i in range(1, n + 1)]
-        rows = [(m, *pts[m - 1]) for m in range(1, count + 1)]
-        return cfg, header, rows
-
-    mode = str(cfg.get("mode", "qr"))
-    if mode not in GEN_MODES:
-        raise CliError(f"mode must be one of {sorted(GEN_MODES)}, got {mode!r}")
+def _sphere_rows(cfg: dict, count: int):
+    n = _int(_require(cfg, "n"), "n")
     try:
-        if GEN_MODES[mode] == "random":
+        spec = SequenceSpec(str(cfg.get("kind", "scrambled-halton")), input_dims(n),
+                            skip=_int(cfg.get("skip", 0), "skip"),
+                            permutation_seed=_int(cfg.get("seed", 0), "seed"))
+        pts = sphere_points(n, spec, count)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    header = ["m"] + [f"x{i}" for i in range(1, n + 1)]
+    return header, [(m, *pts[m - 1]) for m in range(1, count + 1)]
+
+
+def _frame_rows(cfg: dict, count: int, k: int | None = None):
+    """O(n) frames, or given k their first k columns: bases on G(n, k)."""
+    n = _int(_require(cfg, "n"), "n")
+    mode = cfg.get("mode", "qmc")
+    if mode not in MODES:
+        raise CliError(f"mode must be one of {MODES}, got {mode!r}")
+    seed = _int(cfg.get("seed", 0), "seed")
+    if mode == "random" and ("kind" in cfg or "skip" in cfg):
+        raise CliError("kind and skip choose the quasi sequence; random mode takes neither")
+    try:
+        if mode == "random":
             frames = random_ortho_batch(n, count, np.random.default_rng(seed))
         else:
             ospec = OrthoSequenceSpec(
-                n, kind=seq_kind, permutation_seed=seed, skip=skip,
-                veech=GEN_MODES[mode] == "qmc",
+                n, kind=str(cfg.get("kind", "scrambled-halton")), permutation_seed=seed,
+                skip=_int(cfg.get("skip", 0), "skip"), veech=mode == "qmc",
             )
             frames = OrthoSequence(ospec).take(count)
+        if k is not None:
+            frames = beta_k(frames, k).basis
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    letter, width = ("e", n) if k is None else ("b", k)
+    header = ["m"] + [f"{letter}{i}{j}" for i in range(1, n + 1) for j in range(1, width + 1)]
+    return header, [(m, *frames[m - 1].ravel()) for m in range(1, count + 1)]
 
-    if kind == "ortho":
-        header = ["m"] + [f"e{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
-        rows = [(m, *frames[m - 1].ravel()) for m in range(1, count + 1)]
-        return cfg, header, rows
 
-    try:
-        bases = beta_k(frames, k).basis
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    header = ["m"] + [f"b{i}{j}" for i in range(1, n + 1) for j in range(1, k + 1)]
-    rows = [(m, *bases[m - 1].ravel()) for m in range(1, count + 1)]
-    return cfg, header, rows
+def _grassmann_rows(cfg: dict, count: int):
+    return _frame_rows(cfg, count, _int(_require(cfg, "k"), "k"))
+
+
+def _udsg_rows(cfg: dict, count: int):
+    # one gap block gives both columns: q_m = 1 + r_1 + ... + r_m
+    r = udsg.r_sequence(count)
+    q = (1 + np.cumsum(r)).tolist()
+    return ["m", "q", "r"], [(m, q[m - 1], r[m - 1]) for m in range(1, count + 1)]
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    cfg, header, rows = _gen_rows(args)
-    out = cfg.get("output")
-    _write_csv(Path(out) if out else None, header, rows)
+    cfg = _merged(args)
+    out = _output(cfg)
+    count = _int(_require(cfg, "count"), "count")
+    if count < 1:
+        raise CliError("count must be >= 1")
+    header, rows = args.rows(cfg, count)
+    _write_csv(out, header, rows)
     return 0
 
 
@@ -289,6 +314,22 @@ def _write_table(outdir: Path, number: int, header: list[str], rows: list[tuple]
                   json.dumps({"table": number, "rows": summary}, indent=2) + "\n")
 
 
+def _table_rows(bodies, n: int, ks, N: int, next_seed) -> list[tuple]:
+    """A random (r) and a qmc (qr) cell per body, each running every k in ks
+    to N and read at N = 10, 100, ..., N."""
+    marks = tuple(10**e for e in range(1, len(str(N))))
+    rows = []
+    for body in bodies:
+        for mode, algo in (("random", "r"), ("qmc", "qr")):
+            seed = next(next_seed)
+            traces = [run(ExperimentSpec(body, n, k, N, mode, seed=seed if mode == "random" else 0,
+                                         trace_points=marks))
+                      for k in ks]
+            rows += [(body.label, algo, len(body.vertices), m, *(t.value_at(m) for t in traces))
+                     for m in marks]
+    return rows
+
+
 def cmd_reproduce_tables(args: argparse.Namespace) -> int:
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -301,30 +342,10 @@ def cmd_reproduce_tables(args: argparse.Namespace) -> int:
     # cells draw theirs but keep seed 0, the published tables' scrambling
     next_seed = iter(range(base_seed, base_seed + 10_000))
 
-    rows1 = []
-    for body in _table_bodies_3d():
-        for mode, algo in (("random", "r"), ("qmc", "qr")):
-            seed = next(next_seed)
-            traces = {
-                k: run(ExperimentSpec(body, 3, k, 1000, mode, seed=seed if mode == "random" else 0,
-                                      trace_points=(10, 100, 1000)))
-                for k in (1, 2)
-            }
-            for N in (10, 100, 1000):
-                rows1.append((body.label, algo, len(body.vertices), N,
-                              traces[1].value_at(N), traces[2].value_at(N)))
-    _write_table(outdir, 1, ["polytope", "algo", "n_vertices", "N", "I_3_1", "I_3_2"], rows1)
-
-    rows2 = []
-    for body in _table_bodies_4d():
-        for mode, algo in (("random", "r"), ("qmc", "qr")):
-            seed = next(next_seed)
-            trace = run(ExperimentSpec(body, 4, 3, 10000, mode,
-                                       seed=seed if mode == "random" else 0,
-                                       trace_points=(10, 100, 1000, 10000)))
-            for N in (10, 100, 1000, 10000):
-                rows2.append((body.label, algo, len(body.vertices), N, trace.value_at(N)))
-    _write_table(outdir, 2, ["polytope", "algo", "n_vertices", "N", "I_4_3"], rows2)
+    for number, bodies, n, ks, N in ((1, _table_bodies_3d, 3, (1, 2), 1000),
+                                     (2, _table_bodies_4d, 4, (3,), 10000)):
+        header = ["polytope", "algo", "n_vertices", "N"] + [f"I_{n}_{k}" for k in ks]
+        _write_table(outdir, number, header, _table_rows(bodies(), n, ks, N, next_seed))
 
     # convergence trace for the icosahedron with the reference band
     icosa = builtin("k-icosahedron")
@@ -364,31 +385,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.set_defaults(func=cmd_reproduce_tables)
 
     p_est = sub.add_parser("estimate", help="run one experiment, emit its trace")
-    p_est.add_argument("--config", help="JSON config file; flags override it")
-    p_est.add_argument("--polytope", help="builtin label")
-    p_est.add_argument("--polytope-file", help="JSON polytope document")
-    p_est.add_argument("--k", type=int)
-    p_est.add_argument("--N", type=int)
-    p_est.add_argument("--mode", choices=MODES)
-    p_est.add_argument("--seed", type=int)
-    p_est.add_argument("--trace", help="comma-separated counts to record")
-    p_est.add_argument("--reference", type=float,
-                       help="reference value for the abs_err column")
-    p_est.add_argument("--output", help="CSV path (default: stdout)")
+    for name in ("config", "polytope", "polytope-file", "k", "N", "mode", "seed", "trace",
+                 "reference", "output"):
+        p_est.add_argument("--" + name, **_FLAGS[name])
     p_est.set_defaults(func=cmd_estimate)
 
-    p_gen = sub.add_parser("gen", help="emit a sequence prefix as CSV")
-    p_gen.add_argument("what", choices=["sphere", "ortho", "grassmann", "udsg"])
-    p_gen.add_argument("--config", help="JSON config file; flags override it")
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--k", type=int)
-    p_gen.add_argument("--count", type=int)
-    p_gen.add_argument("--mode", choices=sorted(GEN_MODES))
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--kind", choices=KINDS)
-    p_gen.add_argument("--skip", type=int)
-    p_gen.add_argument("--output", help="CSV path (default: stdout)")
-    p_gen.set_defaults(func=cmd_gen)
+    targets = sub.add_parser("gen", help="emit a sequence prefix as CSV").add_subparsers(
+        required=True)
+    for target, names, rows in (
+        ("sphere", ("n", "seed", "kind", "skip"), _sphere_rows),
+        ("ortho", ("n", "mode", "seed", "kind", "skip"), _frame_rows),
+        ("grassmann", ("n", "k", "mode", "seed", "kind", "skip"), _grassmann_rows),
+        ("udsg", (), _udsg_rows),
+    ):
+        p_gen = targets.add_parser(target)
+        for name in ("config", "count", *names, "output"):
+            p_gen.add_argument("--" + name, **_FLAGS[name])
+        p_gen.set_defaults(func=cmd_gen, rows=rows)
 
     return parser
 

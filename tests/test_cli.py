@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import stat
@@ -7,7 +8,7 @@ import pytest
 
 from udortho import cli
 from udortho.cli import main
-from udortho.estimator import ExperimentSpec, reference_value, run
+from udortho.estimator import MODES, ExperimentSpec, reference_value, run
 from udortho.geometry import builtin, crofton_constant, polytope_to_dict
 from udortho.orthogonal import (
     OrthoSequence,
@@ -28,6 +29,25 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def declared(parser):
+    return {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+COMMANDS = subparsers(cli.build_parser())
+GEN = subparsers(COMMANDS["gen"])
+# what each gen target needs to run
+GEN_CFG = {"sphere": {"n": 3, "count": 2}, "ortho": {"n": 3, "count": 2},
+           "grassmann": {"n": 3, "k": 1, "count": 2}, "udsg": {"count": 2}}
+
+
+def gen_flags(what):
+    return [text for key, value in GEN_CFG[what].items() for text in ("--" + key, str(value))]
 
 
 def test_gen_udsg(capsys):
@@ -61,7 +81,7 @@ def test_gen_sphere(capsys):
 
 
 def test_gen_ortho_modes(capsys):
-    for mode in ("qr", "qr-noveech", "random"):
+    for mode in ("qmc", "qmc-noveech", "random"):
         rc, out, _ = run_cli(
             capsys, ["gen", "ortho", "--n", "3", "--count", "2", "--mode", mode]
         )
@@ -89,7 +109,7 @@ def test_gen_random_is_the_batch_of_estimate(capsys):
 def test_gen_grassmann(capsys):
     rc, out, _ = run_cli(
         capsys,
-        ["gen", "grassmann", "--n", "3", "--k", "2", "--count", "2", "--mode", "qr"],
+        ["gen", "grassmann", "--n", "3", "--k", "2", "--count", "2", "--mode", "qmc"],
     )
     assert rc == 0
     header, rows = parse_csv(out)
@@ -98,7 +118,7 @@ def test_gen_grassmann(capsys):
     assert np.abs(b.T @ b - np.eye(2)).max() < 1e-10
 
 
-@pytest.mark.parametrize("mode", ["qr", "qr-noveech", "random"])
+@pytest.mark.parametrize("mode", MODES)
 def test_gen_grassmann_rows_are_the_first_k_columns(capsys, mode):
     # %.17g round-trips a float, so the rows equal the frames' columns bitwise
     rc, out, _ = run_cli(
@@ -114,7 +134,7 @@ def test_gen_grassmann_rows_are_the_first_k_columns(capsys, mode):
     if mode == "random":
         frames = random_ortho_batch(4, 700, np.random.default_rng(5))
     else:
-        spec = default_ortho_spec(4, permutation_seed=5, veech=mode == "qr")
+        spec = default_ortho_spec(4, permutation_seed=5, veech=mode == "qmc")
         frames = OrthoSequence(spec).take(700)
     assert np.array_equal(got, frames[:, :, :2])
 
@@ -140,7 +160,7 @@ def _config_error(capsys, tmp_path, argv, cfg):
      ("sphere", "seed"), ("ortho", "skip")],
 )
 def test_gen_config_rejects_non_numbers(capsys, tmp_path, what, key):
-    cfg = {"n": 3, "k": 1, "count": 2, key: "x"}
+    cfg = {**GEN_CFG[what], key: "x"}
     assert "'x'" in _config_error(capsys, tmp_path, ["gen", what], cfg)
 
 
@@ -159,7 +179,7 @@ def test_estimate_config_rejects_non_numbers_before_running(capsys, tmp_path, mo
 )
 def test_gen_config_refuses_non_integral_values(capsys, tmp_path, what, key, value):
     # a fractional or boolean integer parameter is an error, not truncated
-    cfg = {"n": 3, "k": 1, "count": 2, key: value}
+    cfg = {**GEN_CFG[what], key: value}
     assert repr(value) in _config_error(capsys, tmp_path, ["gen", what], cfg)
 
 
@@ -387,20 +407,40 @@ def test_estimate_config_matches_flags(capsys, tmp_path):
             assert (tmp_path / "flags.csv").read_text() == from_flags
 
 
+def test_gen_targets_declare_only_the_flags_they_read():
+    common = {"config", "count", "output"}
+    assert {what: declared(parser) for what, parser in GEN.items()} == {
+        "sphere": common | {"n", "seed", "kind", "skip"},
+        "ortho": common | {"n", "mode", "seed", "kind", "skip"},
+        "grassmann": common | {"n", "k", "mode", "seed", "kind", "skip"},
+        "udsg": common,
+    }
+    # the modes are spelt one way, as the estimator spells them
+    for parser in (COMMANDS["estimate"], GEN["ortho"], GEN["grassmann"]):
+        assert next(a for a in parser._actions if a.dest == "mode").choices == MODES
+
+
 def test_gen_config_matches_flags(capsys, tmp_path):
-    # every gen parameter given in a config file prints the bytes that the
-    # same parameters given as flags print, and each parameter is read:
-    # changing any one of them changes the G(n, k) rows
-    base = {"n": 4, "k": 2, "count": 40, "mode": "qr", "seed": 3, "kind": "halton", "skip": 5}
-    changes = [{}, {"n": 3}, {"k": 1}, {"count": 41}, {"mode": "qr-noveech"},
-               {"mode": "random"}, {"mode": "random", "seed": 4},
+    # every parameter of a target given in a config file prints the bytes
+    # that the same parameters given as flags print, and each parameter the
+    # target declares is read: changing any one of them changes the rows.
+    # A None in a change drops that key (random mode takes no kind or skip).
+    base = {"n": 4, "k": 2, "count": 40, "mode": "qmc", "seed": 3, "kind": "halton", "skip": 5}
+    changes = [{}, {"n": 3}, {"k": 1}, {"count": 41}, {"mode": "qmc-noveech"},
+               {"mode": "random", "kind": None, "skip": None},
+               {"mode": "random", "seed": 4, "kind": None, "skip": None},
                {"kind": "scrambled-halton"}, {"kind": "scrambled-halton", "seed": 4},
                {"skip": 6}]
     cfg_path = tmp_path / "gen.json"
-    for what in ("sphere", "ortho", "grassmann", "udsg"):
+    for what, parser in GEN.items():
+        flags_of = declared(parser)
+        target_base = {key: value for key, value in base.items() if key in flags_of}
+        target_changes = [change for change in changes if change.keys() <= flags_of]
+        assert set().union(*target_changes) == flags_of - {"config", "output"}
         outputs = []
-        for change in changes:
-            cfg = {**base, **change}
+        for change in target_changes:
+            cfg = {key: value for key, value in {**target_base, **change}.items()
+                   if value is not None}
             flags = [text for key, value in cfg.items()
                      for text in ("--" + key.replace("_", "-"), str(value))]
             cfg_path.write_text(json.dumps(cfg))
@@ -410,10 +450,9 @@ def test_gen_config_matches_flags(capsys, tmp_path):
             assert rc == 0
             assert from_config == from_flags
             outputs.append(from_config)
-        if what == "grassmann":
-            assert len(set(outputs)) == len(changes)
+        assert len(set(outputs)) == len(target_changes), what
         # and to an output file, the flag winning over the config file
-        cfg_path.write_text(json.dumps({**base, "output": str(tmp_path / "config.csv")}))
+        cfg_path.write_text(json.dumps({**target_base, "output": str(tmp_path / "config.csv")}))
         assert run_cli(capsys, ["gen", what, "--config", str(cfg_path)])[:2] == (0, "")
         flags = ["--output", str(tmp_path / "flags.csv")]
         assert run_cli(capsys, ["gen", what, "--config", str(cfg_path), *flags])[:2] == (0, "")
@@ -421,11 +460,72 @@ def test_gen_config_matches_flags(capsys, tmp_path):
         assert (tmp_path / "flags.csv").read_text() == outputs[0]
 
 
+def _draws_nothing(monkeypatch):
+    # every call that runs an estimate or draws a sequence fails the test
+    for name in ("cli.run", "cli.OrthoSequence", "cli.random_ortho_batch", "cli.sphere_points",
+                 "udsg.r_sequence"):
+        monkeypatch.setattr("udortho." + name, lambda *a, name=name: pytest.fail(f"{name} called"))
+
+
+GEN_FLAG_VALUES = {"n": "3", "k": "1", "mode": "qmc", "seed": "1", "kind": "halton", "skip": "1"}
+
+
+@pytest.mark.parametrize(
+    "what, key",
+    [(what, key) for what, parser in GEN.items()
+     for key in GEN_FLAG_VALUES if key not in declared(parser)],
+)
+def test_gen_refuses_a_flag_the_target_does_not_read(capsys, tmp_path, monkeypatch, what, key):
+    # as a flag it is a usage error, as a config key one JSON error line
+    _draws_nothing(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", what, *gen_flags(what), "--" + key, GEN_FLAG_VALUES[key]])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert repr(key) in _config_error(capsys, tmp_path, ["gen", what], {**GEN_CFG[what], key: 1})
+
+
+@pytest.mark.parametrize("what", ["ortho", "grassmann"])
+@pytest.mark.parametrize("key, value", [("kind", "halton"), ("skip", 0)])
+def test_gen_random_mode_refuses_kind_and_skip(capsys, tmp_path, monkeypatch, what, key, value):
+    # kind and skip choose the quasi sequence; random mode reads neither
+    _draws_nothing(monkeypatch)
+    rc, out, err = run_cli(capsys, ["gen", what, *gen_flags(what), "--mode", "random",
+                                    "--" + key, str(value)])
+    assert (rc, out) == (2, "")
+    assert "random mode" in json.loads(err)["error"]
+    cfg = {**GEN_CFG[what], "mode": "random", key: value}
+    assert "random mode" in _config_error(capsys, tmp_path, ["gen", what], cfg)
+    assert "random mode" in _config_error(capsys, tmp_path, ["gen", what, "--mode", "random"],
+                                          {**GEN_CFG[what], key: value})
+
+
+@pytest.mark.parametrize("mode", ["qr", "qr-noveech", "Random", 1])
+def test_gen_config_mode_is_one_of_modes(capsys, tmp_path, monkeypatch, mode):
+    _draws_nothing(monkeypatch)
+    cfg = {**GEN_CFG["ortho"], "mode": mode}
+    assert repr(mode) in _config_error(capsys, tmp_path, ["gen", "ortho"], cfg)
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [(["estimate"], {"polytope": "3-cube", "k": 1, "N": 10, "output": 7}),
+     (["gen", "udsg"], {"count": 3, "output": 5}),
+     (["gen", "udsg"], {"count": 3, "output": ["a"]}),
+     (["gen", "ortho"], {"n": 3, "count": 3, "output": {"path": "a"}})],
+    ids=["estimate-int", "udsg-int", "udsg-list", "ortho-dict"],
+)
+def test_a_non_string_output_exits_2_before_any_work(capsys, tmp_path, monkeypatch, argv, cfg):
+    _draws_nothing(monkeypatch)
+    assert "output must be a path string" in _config_error(capsys, tmp_path, argv, cfg)
+
+
 @pytest.mark.parametrize("what", ["sphere", "ortho", "grassmann"])
 def test_gen_rejects_indices_past_int64(capsys, what):
     # cube indices are int64; a skip that pushes them past 2^63 - 1 is an
     # input error, not a silent wrap to negative indices
-    argv = ["gen", what, "--n", "3", "--k", "1", "--count", "2", "--skip", str(2**63 - 1)]
+    argv = ["gen", what, "--n", "3", *(["--k", "1"] if what == "grassmann" else []),
+            "--count", "2", "--skip", str(2**63 - 1)]
     rc, out, err = run_cli(capsys, argv)
     assert rc == 2
     assert out == ""
