@@ -17,6 +17,7 @@ Run it as `udortho <command>` once installed, or as `python -m udortho
 
 Each flag is declared once, in `_FLAGS`; `estimate` and each gen target list
 the flags they read, and their config files may hold only those keys.
+A flag has one spelling: no parser takes an abbreviation of it.
 --mode takes `estimator.MODES` (default qmc) and --kind `lowdisc.KINDS`;
 --kind and --skip choose the quasi sequence, so random mode refuses them.
 
@@ -373,32 +374,35 @@ def cmd_reproduce_tables(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="udortho",
+        allow_abbrev=False,
         description="Quasi-random sequences in O(n) / G(n,k) and Crofton-type "
         "intrinsic-volume estimation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_tab = sub.add_parser("reproduce-tables", help="run the full benchmark grid")
+    p_tab = sub.add_parser("reproduce-tables", allow_abbrev=False,
+                           help="run the full benchmark grid")
     p_tab.add_argument("--output-dir", required=True)
     p_tab.add_argument("--fresh-seed", action="store_true",
                        help="draw new random seeds instead of the fixed defaults")
     p_tab.set_defaults(func=cmd_reproduce_tables)
 
-    p_est = sub.add_parser("estimate", help="run one experiment, emit its trace")
+    p_est = sub.add_parser("estimate", allow_abbrev=False,
+                           help="run one experiment, emit its trace")
     for name in ("config", "polytope", "polytope-file", "k", "N", "mode", "seed", "trace",
                  "reference", "output"):
         p_est.add_argument("--" + name, **_FLAGS[name])
     p_est.set_defaults(func=cmd_estimate)
 
-    targets = sub.add_parser("gen", help="emit a sequence prefix as CSV").add_subparsers(
-        required=True)
+    targets = sub.add_parser("gen", allow_abbrev=False,
+                             help="emit a sequence prefix as CSV").add_subparsers(required=True)
     for target, names, rows in (
         ("sphere", ("n", "seed", "kind", "skip"), _sphere_rows),
         ("ortho", ("n", "mode", "seed", "kind", "skip"), _frame_rows),
         ("grassmann", ("n", "k", "mode", "seed", "kind", "skip"), _grassmann_rows),
         ("udsg", (), _udsg_rows),
     ):
-        p_gen = targets.add_parser(target)
+        p_gen = targets.add_parser(target, allow_abbrev=False)
         for name in ("config", "count", *names, "output"):
             p_gen.add_argument("--" + name, **_FLAGS[name])
         p_gen.set_defaults(func=cmd_gen, rows=rows)

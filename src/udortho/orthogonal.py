@@ -20,9 +20,16 @@ laid out as rows: prefix products within each row, one scan of the row
 totals started from the last product of the block before, and one batched
 product putting each row behind everything before it (Blelloch 1990), so
 a frame is a pure function of (spec, index) however the sequence is read.
-A sequence keeps, per level, its last block and a table of the factors z_r
-for the gaps r up to the largest it has met, so its memory does not grow
-with the number of frames read.
+A sequence keeps, per level, prefix tables of its sphere points and of its
+interleaved elements, each computed once; they grow by doubling to cover
+the largest index met, and an index past twice a table's length plus BLOCK
+is computed directly and not stored.  With the generator step the element
+table holds the factors z_r for the gaps r met, and the level its last
+block of products, so memory does not grow with the number of frames read.
+Without it the element table of each level below n serves the level above.
+Reading N frames, the tables that level n reads (its sphere points and the
+elements of level n-1) then hold at most about 2 sqrt(N) rows each, and
+those that level n-1 reads about 2 N^(1/4).
 """
 
 from __future__ import annotations
@@ -244,6 +251,23 @@ def _repair(w: np.ndarray) -> int:
     return int(bad.size)
 
 
+def _near(table: np.ndarray, top: int) -> bool:
+    """Whether row `top` is near enough to a prefix table to be stored in it:
+    a far request computes its rows directly, so it cannot grow the table to
+    its index."""
+    return top <= 2 * len(table) + BLOCK
+
+
+def _grown(tables: dict[int, np.ndarray], lvl: int, top: int, rows) -> np.ndarray:
+    """The prefix table tables[lvl] (row i holds item i, row 0 is unused),
+    grown to max(top + 1, 2 length) rows by rows(lo, hi), the items
+    lo..hi-1, when it does not reach row `top`."""
+    table = tables[lvl]
+    if len(table) <= top:
+        table = tables[lvl] = np.concatenate([table, rows(len(table), max(top + 1, 2 * len(table)))])
+    return table
+
+
 def _scan(p: np.ndarray) -> None:
     """Prefix products p_0 p_1 ... p_i along axis -3 of a (..., count, n, n)
     stack, in place, by a Hillis-Steele scan (log2 count batched steps)."""
@@ -258,14 +282,18 @@ class OrthoSequence:
 
     `frames(start, count)` reads any range (1-based) and `take`, `element`
     and iteration are built on it.  Work is done a grid block of BLOCK
-    indices at a time.  With the generator step on, each level keeps its
-    last block of products (read-only; a range inside it is read as a
-    slice), whose last product carries into the next block's scan, its
-    stream of gap blocks, and the factors z_r for every gap r up to the
-    largest met; reading a block before its last one restarts the level
-    from block 0.  Frames whose orthogonality defect exceeds 1e-10 are
-    re-orthonormalized; `repair_count` says how often that happened,
-    counting a frame each time it is computed.
+    indices at a time.  Each level from 3 up keeps prefix tables of its
+    sphere points and its interleaved elements (see the module docstring).
+    With the generator step on, each level also keeps its last block of
+    products (read-only; a range inside it is read as a slice), whose last
+    product carries into the next block's scan, and its stream of gap
+    blocks; reading a block before its last one restarts the level from
+    block 0.  Without it a level below n is read from its element table.
+    Frames whose orthogonality defect exceeds 1e-10 are re-orthonormalized;
+    `repair_count` says how often that happened: a table row counts once,
+    when it is computed, and any other frame (a block of products, a
+    top-level frame without the generator step, a far row) each time it is
+    computed.
     """
 
     def __init__(self, spec: OrthoSequenceSpec):
@@ -273,8 +301,10 @@ class OrthoSequence:
         self.repair_count = 0
         # level -> (grid block j, its products, the gap blocks after j)
         self._blocks: dict[int, tuple[int, np.ndarray, Iterator[np.ndarray]]] = {}
-        # level -> z_r at row r = 1, 2, ..., up to the largest gap met
-        self._z: dict[int, np.ndarray] = {}
+        # level -> prefix tables of the interleaved elements z_m and the sphere points x_a
+        levels = range(3, spec.n + 1)
+        self._z = {lvl: np.full((1, lvl, lvl), np.nan) for lvl in levels}
+        self._x = {lvl: np.full((1, lvl), np.nan) for lvl in levels}
 
     def frames(self, start: int, count: int) -> np.ndarray:
         """Elements start..start+count-1 stacked into a fresh (count, n, n) array."""
@@ -318,6 +348,9 @@ class OrthoSequence:
         if lvl == 2:
             return _o2_elements(self.spec.base_spec, idx)
         if not self.spec.veech:
+            top = int(idx[-1])
+            if lvl < self.spec.n and _near(self._z[lvl], top):
+                return self._z_table(lvl, top)[idx]
             return self._checked(self._interleaved(lvl, idx))
         grid = (idx - 1) // BLOCK
         if grid[0] == grid[-1] and idx[-1] - idx[0] == idx.size - 1:
@@ -330,12 +363,22 @@ class OrthoSequence:
         return out
 
     def _interleaved(self, lvl: int, idx: np.ndarray) -> np.ndarray:
-        """The interleaved elements R(x_a) diag(1, h_b), (a, b) the pairs of idx."""
+        """The interleaved elements R(x_a) diag(1, h_b), (a, b) the pairs of idx.
+
+        This is the only place elements of a level above 2 are built; the
+        element tables are a cache in front of it.  x_a comes from the
+        level's sphere table, or directly when a reaches past it.
+        """
         a, b = convolution_indices(idx)
-        lo = int(a.min())
-        x = sphere_points(lvl, self.spec.sphere_specs[lvl - 3], int(a.max()) - lo + 1, lo)
+        spec = self.spec.sphere_specs[lvl - 3]
+        top = int(a.max())
+        if _near(self._x[lvl], top):
+            x = _grown(self._x, lvl, top, lambda lo, hi: sphere_points(lvl, spec, hi - lo, lo))[a]
+        else:
+            lo = int(a.min())
+            x = sphere_points(lvl, spec, top - lo + 1, lo)[a - lo]
         sub, inverse = np.unique(b, return_inverse=True)
-        return _cosets(x[a - lo], self._at(lvl - 1, sub)[inverse])
+        return _cosets(x, self._at(lvl - 1, sub)[inverse])
 
     def _veech_block(self, lvl: int, j: int) -> np.ndarray:
         """Products w_m of level `lvl` for m in grid block j."""
@@ -358,12 +401,11 @@ class OrthoSequence:
         return w
 
     def _z_table(self, lvl: int, top: int) -> np.ndarray:
-        """The factors z_r = R(x_a) diag(1, h_b) at row r, for r up to `top`."""
-        table = self._z.get(lvl, np.full((1, lvl, lvl), np.nan))
-        if table.shape[0] <= top:
-            new = self._checked(self._interleaved(lvl, np.arange(table.shape[0], top + 1)))
-            table = self._z[lvl] = np.concatenate([table, new])
-        return table
+        """The interleaved elements z_m = R(x_a) diag(1, h_b) at row m, for m
+        up to at least `top`: the factors of the generator step with it on,
+        the level's elements with it off."""
+        return _grown(self._z, lvl, top,
+                      lambda lo, hi: self._checked(self._interleaved(lvl, np.arange(lo, hi))))
 
     def _checked(self, w: np.ndarray) -> np.ndarray:
         self.repair_count += _repair(w)

@@ -485,6 +485,24 @@ def test_gen_refuses_a_flag_the_target_does_not_read(capsys, tmp_path, monkeypat
     assert repr(key) in _config_error(capsys, tmp_path, ["gen", what], {**GEN_CFG[what], key: 1})
 
 
+@pytest.mark.parametrize("argv, unread", [
+    (["gen", "udsg", "--cou", "3"], "--cou"),
+    (["gen", "ortho", "--n", "3", "--k", "2", "--count", "5"], "--k"),
+    (["estimate", "--polytope", "cube3", "--k", "1", "--N", "10", "--mo", "random"], "--mo"),
+    (["reproduce-tables", "--output-dir", "OUT", "--fresh"], "--fresh"),
+])
+def test_no_parser_takes_an_abbreviated_flag(capsys, tmp_path, monkeypatch, argv, unread):
+    # one spelling per flag: a prefix of a flag is an unrecognized argument,
+    # not that flag (gen ortho --k is not --kind)
+    _draws_nothing(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main([str(tmp_path) if arg == "OUT" else arg for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {unread}" in captured.err
+
+
 @pytest.mark.parametrize("what", ["ortho", "grassmann"])
 @pytest.mark.parametrize("key, value", [("kind", "halton"), ("skip", 0)])
 def test_gen_random_mode_refuses_kind_and_skip(capsys, tmp_path, monkeypatch, what, key, value):

@@ -3,6 +3,7 @@ import tracemalloc
 import weakref
 from functools import reduce
 from itertools import accumulate, islice
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -380,10 +381,12 @@ def test_frames_do_not_depend_on_access_pattern(veech):
         seq.frames(0, 3)
 
 
-def test_streaming_memory_is_bounded():
+@pytest.mark.parametrize("veech", [True, False])
+def test_streaming_memory_is_bounded(veech):
     # 2e5 frames are 25.6 MB; streamed a block at a time, the sequence holds
-    # one block and a small factor table per level
-    seq = OrthoSequence(default_ortho_spec(4))
+    # one block and a small factor table per level with the generator step,
+    # and without it tables of about 2 sqrt(2e5) rows below the top level
+    seq = OrthoSequence(default_ortho_spec(4, veech=veech))
     tracemalloc.start()
     try:
         for lo in range(1, 200_001, BLOCK):
@@ -392,6 +395,32 @@ def test_streaming_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+    if not veech:
+        assert len(seq._z[3]) <= 2 * (isqrt(200_000) + 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_noveech_far_element_bypasses_the_tables(n):
+    # element 10^12 reads lower-level rows near 10^6; computed directly,
+    # they take no table to that length (which would be 100s of MB)
+    spec = default_ortho_spec(n, veech=False)
+    seq = OrthoSequence(spec)
+    tracemalloc.start()
+    try:
+        far = seq.element(10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert np.abs(far - noveech_reference(spec, n, np.array([10**12]))[0]).max() < 1e-14
+
+
+def test_noveech_far_rows_stay_out_of_the_tables():
+    spec = default_ortho_spec(4, veech=False)
+    seq = OrthoSequence(spec)
+    seq.element(10**9)  # reads x_24558 at level 4 and h_31623 of level 3
+    assert len(seq._x[4]) == len(seq._z[3]) == 1
+    assert np.array_equal(seq.frames(1, 2000), OrthoSequence(spec).take(2000))
 
 
 def test_repair_fixes_perturbed_frames_only():
@@ -420,6 +449,24 @@ def test_repair_count_counts_each_repaired_frame(monkeypatch):
     frames = seq.take(BLOCK + 1)
     assert seq.repair_count == 2 * BLOCK + max(r_sequence(2 * BLOCK))
     assert np.abs(frames - plain).max() < 1e-13
+
+
+def test_repair_count_counts_a_table_row_once(monkeypatch):
+    # without the generator step at n = 4, with every frame over the
+    # tolerance: block 0 (b <= 23) grows the level-3 table to rows 1..23,
+    # block 1 (b <= 32) doubles it to rows 1..47, and each top-level frame
+    # counts each time it is computed, as does a far row, read directly
+    spec = default_ortho_spec(4, veech=False)
+    plain = OrthoSequence(spec).take(2 * BLOCK)
+    monkeypatch.setattr(orthogonal, "_REPAIR_TOL", -1.0)
+    seq = OrthoSequence(spec)
+    frames = seq.take(2 * BLOCK)
+    assert seq.repair_count == 2 * BLOCK + 47
+    assert np.abs(frames - plain).max() < 1e-13
+    seq.take(2 * BLOCK)
+    assert seq.repair_count == 4 * BLOCK + 47
+    seq.element(10**9)  # the frame and its level-3 row b = 31 623, which is far
+    assert seq.repair_count == 4 * BLOCK + 47 + 2
 
 
 def reflection_times_block(x, h):
