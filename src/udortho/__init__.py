@@ -14,8 +14,8 @@ Each stage has one batched path: `points` (cube), `sphere_points` (sphere),
 frames to a stack of subspaces); `run` reads frames a block at a time.
 `point_at` and `sphere_sequence` are one-index delegates, kept because the
 benchmark's tracer binds them.  The sequence kinds and the estimate modes
-are declared once, as `lowdisc.KINDS` and `estimator.MODES`; every
-`--kind` and `--mode` flag of the CLI takes its choices from them.
+are declared once, as `lowdisc.KINDS` and `estimator.MODES`; every `--mode`
+flag of the CLI takes its choices from `MODES`.
 """
 
 from .estimator import (

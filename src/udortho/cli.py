@@ -2,12 +2,7 @@
 
 Commands
 --------
-gen TARGET        emit a sequence prefix as CSV; every target takes --config,
-                  --count and --output, and besides
-                    sphere     --n --seed --kind --skip
-                    ortho      --n --mode --seed --kind --skip
-                    grassmann  --n --k --mode --seed --kind --skip
-                    udsg       nothing more
+gen TARGET        emit a sequence prefix as CSV
 estimate          run one Crofton experiment and emit its convergence trace
 reproduce-tables  run the full benchmark grid and write table1.csv,
                   table2.csv, figure1.csv (plus JSON summaries)
@@ -15,11 +10,31 @@ reproduce-tables  run the full benchmark grid and write table1.csv,
 Run it as `udortho <command>` once installed, or as `python -m udortho
 <command>` with `src` on the path.
 
-Each flag is declared once, in `_FLAGS`; `estimate` and each gen target list
-the flags they read, and their config files may hold only those keys.
-A flag has one spelling: no parser takes an abbreviation of it.
---mode takes `estimator.MODES` (default qmc) and --kind `lowdisc.KINDS`;
---kind and --skip choose the quasi sequence, so random mode refuses them.
+Each flag is declared once, in `_FLAGS`.  Each command takes only the flags
+it reads, each in one spelling (no parser takes an abbreviation):
+
+    gen sphere     --config --count --n --seed --skip --output
+    gen ortho      --config --count --n --mode --seed --skip --output
+    gen grassmann  --config --count --n --k --mode --seed --skip --output
+    gen udsg       --config --count --output
+    estimate       --config --polytope --polytope-file --k --N --mode
+                   --seed --trace --reference --output
+
+--count, --n, --k and --N are required, and so is one of --polytope and
+--polytope-file.  --mode takes `estimator.MODES` (default qmc); --skip
+chooses the quasi sequence, so random mode refuses it.
+
+A config file is the flags it stands for: `--config PATH` names a JSON
+object whose keys are flag names with "_" for "-", and its entries become
+flags placed before the flags given, so a given flag wins.  A value is
+text a user could type for its flag: a string, a number (not a boolean)
+for a numeric flag, or for --trace a list of those, comma-joined.
+
+What argparse refuses (an unknown flag or key, a bad value, a missing
+flag) is a usage error.  What is checked after parsing is one JSON line
+{"error": ...} on stderr: a polytope that does not load, an invalid spec
+(a negative seed, an index past 2^63 - 1), a count below 1, random mode
+with --skip.  Both exit with status 2.
 
 Every command is deterministic.  A run's one seed, --seed, drives the Haar
 draws of random mode and the digit scrambling of the quasi modes and of
@@ -31,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -42,7 +58,7 @@ from . import udsg
 from .estimator import MODES, ExperimentSpec, compare, reference_value, run
 from .geometry import builtin, crofton_constant, load_polytope, random_spherical_polytope
 from .grassmann import beta_k
-from .lowdisc import KINDS, SequenceSpec
+from .lowdisc import SequenceSpec
 from .orthogonal import OrthoSequence, OrthoSequenceSpec, random_ortho_batch
 from .sphere import input_dims, sphere_points
 
@@ -52,16 +68,38 @@ RPOLY_SEED_3D_50 = 501
 RPOLY_SEED_3D_150 = 502
 RPOLY_SEED_4D_50 = 503
 
-# Each flag of estimate and gen, as argparse arguments keyed by the flag's name.
+
+def _finite(text: str) -> float:
+    """A finite real number; nan and inf are refused."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+def _counts(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; empty items are skipped."""
+    try:
+        return tuple(int(p) for p in text.split(",") if p)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
+# Each flag of estimate and gen, as argparse arguments keyed by the flag's name;
+# a flag with a `type` is numeric.
 _FLAGS = {
-    "config": {"help": "JSON config file; flags override it"},
+    "config": {"help": "JSON object of flags; the flags given override it"},
     "polytope": {"help": "builtin label"},
     "polytope-file": {"help": "JSON polytope document"},
-    **dict.fromkeys(("n", "k", "N", "count", "seed", "skip"), {"type": int}),
-    "mode": {"choices": MODES, "help": "default: qmc"},
-    "kind": {"choices": KINDS, "help": "default: scrambled-halton"},
-    "trace": {"help": "comma-separated counts to record"},
-    "reference": {"type": float, "help": "reference value for the abs_err column"},
+    **dict.fromkeys(("n", "k", "N", "count"), {"type": int, "required": True}),
+    "seed": {"type": int, "default": 0},
+    "skip": {"type": int},
+    "mode": {"choices": MODES, "default": "qmc", "help": "default: %(default)s"},
+    "trace": {"type": _counts, "default": (), "help": "comma-separated counts to record"},
+    "reference": {"type": _finite, "help": "reference value for the abs_err column"},
     "output": {"help": "CSV path (default: stdout)"},
 }
 
@@ -72,14 +110,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path | None, header: list[str], rows) -> None:
+def _write_csv(path: Path | str | None, header: list[str], rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(c) for c in row) for row in rows)
     text = "\n".join(lines) + "\n"
-    if path is None:
+    if not path:
         sys.stdout.write(text)
         return
-    _atomic_write(path, text)
+    _atomic_write(Path(path), text)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -103,136 +141,58 @@ class CliError(Exception):
     """Validation failure; exits with status 2 and a JSON error line."""
 
 
-def _load_config(path: str | None) -> dict:
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with the flags of its --config file, as `--name=text`, put after
+    the command tokens (`estimate`, or `gen TARGET`) and before the flags
+    given, which win: argparse keeps the last value.  A key that is no flag
+    is left for the full parse to refuse; the file and its values are
+    checked here."""
+    head = {"estimate": 1, "gen": 2}.get(argv[0] if argv else "", 0)
+    pre = argparse.ArgumentParser(prog=" ".join(["udortho", *argv[:head]]), add_help=False,
+                                  allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[head:])[0].config if head else None
     if not path:
-        return {}
+        return argv
     try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        pre.error(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
-        raise CliError("config must be a JSON object")
-    return cfg
-
-
-def _merged(args: argparse.Namespace) -> dict:
-    """Config file values overridden by any flag that was actually given.
-
-    A config key is a flag's name with "_" for "-" (`polytope_file` for
-    --polytope-file), as argparse names its destination.  Other keys, and
-    the namespace's four non-flag names, are refused rather than ignored."""
-    cfg = _load_config(args.config)
-    unknown = sorted(cfg.keys() - (vars(args).keys() - {"command", "func", "rows", "config"}))
-    if unknown:
-        raise CliError(f"unknown {args.command} config keys {unknown}")
-    flags = {key: val for key, val in vars(args).items() if val is not None}
-    return {**cfg, **flags}
-
-
-def _resolve_polytope(cfg: dict):
-    label = cfg.get("polytope")
-    path = cfg.get("polytope_file")
-    if label and path:
-        raise CliError("give either a polytope label or a polytope file, not both")
-    if path:
-        try:
-            return load_polytope(path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot load polytope file {path}: {exc}") from exc
-    if label:
-        try:
-            return builtin(label)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-    raise CliError("a polytope label or file is required")
-
-
-def _output(cfg: dict) -> Path | None:
-    """The CSV path, or None for stdout; checked before any work is done."""
-    out = cfg.get("output")
-    if out is not None and not isinstance(out, str):
-        raise CliError(f"output must be a path string, got {out!r}")
-    return Path(out) if out else None
-
-
-def _require(cfg: dict, key: str):
-    if cfg.get(key) is None:
-        raise CliError(f"missing required parameter {key!r}")
-    return cfg[key]
-
-
-def _int(value, key: str) -> int:
-    """An integer parameter from a flag or a config file: an int, an integral
-    float or a decimal string.  Booleans and fractional numbers are refused,
-    not truncated."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise CliError(f"{key} must be an integer, got {value!r}")
-
-
-def _float(value, key: str) -> float:
-    """A real parameter from a flag or a config file: a number or a decimal
-    string.  Booleans and non-finite values (nan, inf) are refused."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = float("nan")
-    if isinstance(value, bool) or not np.isfinite(x):
-        raise CliError(f"{key} must be a finite number, got {value!r}")
-    return x
-
-
-def _parse_trace(value) -> tuple[int, ...]:
-    if value is None:
-        return ()
-    if isinstance(value, str):
-        value = [p for p in value.split(",") if p]
-    return tuple(_int(v, "trace") for v in value)
+        pre.error(f"config {path} must be a JSON object")
+    flags = []
+    for key, value in cfg.items():
+        name = key.replace("_", "-")
+        items = value if name == "trace" and isinstance(value, list) else [value]
+        text = (str, int, float) if "type" in _FLAGS.get(name, {}) else str
+        if name == "config" or name in _FLAGS and not all(isinstance(v, text) for v in items):
+            pre.error(f"config key {key!r} is not text for --{name}: {value!r}")
+        flags.append(f"--{name}=" + ",".join(map(str, items)))
+    return [*argv[:head], *flags, *argv[head:]]
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    cfg = _merged(args)
-    out = _output(cfg)
-    poly = _resolve_polytope(cfg)
     try:
-        spec = ExperimentSpec(
-            polytope=poly,
-            n=poly.n,
-            k=_int(_require(cfg, "k"), "k"),
-            N=_int(_require(cfg, "N"), "N"),
-            mode=str(cfg.get("mode", "qmc")),
-            seed=_int(cfg.get("seed", 0), "seed"),
-            trace_points=_parse_trace(cfg.get("trace")),
-        )
-    except (TypeError, ValueError) as exc:
+        poly = (builtin(args.polytope) if args.polytope_file is None
+                else load_polytope(args.polytope_file))
+        spec = ExperimentSpec(polytope=poly, n=poly.n, k=args.k, N=args.N, mode=args.mode,
+                              seed=args.seed, trace_points=args.trace)
+    except (OSError, TypeError, ValueError) as exc:
         raise CliError(str(exc)) from exc
-    reference = cfg.get("reference")
-    if reference is not None:
-        reference = _float(reference, "reference")
     trace = run(spec)
     c = crofton_constant(spec.n, spec.k)
-    rows = []
-    for m, val in trace.points:
-        err = abs(val - reference) if reference is not None else ""
-        rows.append((spec.mode, m, val, c * val, err))
-    _write_csv(out, ["mode", "m", "I", "cI", "abs_err"], rows)
+    ref = args.reference
+    rows = [(spec.mode, m, val, c * val, "" if ref is None else abs(val - ref))
+            for m, val in trace.points]
+    _write_csv(args.output, ["mode", "m", "I", "cI", "abs_err"], rows)
     return 0
 
 
-def _sphere_rows(cfg: dict, count: int):
-    n = _int(_require(cfg, "n"), "n")
+def _sphere_rows(args: argparse.Namespace):
+    n, count = args.n, args.count
     try:
-        spec = SequenceSpec(str(cfg.get("kind", "scrambled-halton")), input_dims(n),
-                            skip=_int(cfg.get("skip", 0), "skip"),
-                            permutation_seed=_int(cfg.get("seed", 0), "seed"))
+        spec = SequenceSpec("scrambled-halton", input_dims(n), skip=args.skip or 0,
+                            permutation_seed=args.seed)
         pts = sphere_points(n, spec, count)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -240,23 +200,17 @@ def _sphere_rows(cfg: dict, count: int):
     return header, [(m, *pts[m - 1]) for m in range(1, count + 1)]
 
 
-def _frame_rows(cfg: dict, count: int, k: int | None = None):
+def _frame_rows(args: argparse.Namespace, k: int | None = None):
     """O(n) frames, or given k their first k columns: bases on G(n, k)."""
-    n = _int(_require(cfg, "n"), "n")
-    mode = cfg.get("mode", "qmc")
-    if mode not in MODES:
-        raise CliError(f"mode must be one of {MODES}, got {mode!r}")
-    seed = _int(cfg.get("seed", 0), "seed")
-    if mode == "random" and ("kind" in cfg or "skip" in cfg):
-        raise CliError("kind and skip choose the quasi sequence; random mode takes neither")
+    n, count, mode = args.n, args.count, args.mode
+    if mode == "random" and args.skip is not None:
+        raise CliError("skip chooses the quasi sequence; random mode takes none")
     try:
         if mode == "random":
-            frames = random_ortho_batch(n, count, np.random.default_rng(seed))
+            frames = random_ortho_batch(n, count, np.random.default_rng(args.seed))
         else:
-            ospec = OrthoSequenceSpec(
-                n, kind=str(cfg.get("kind", "scrambled-halton")), permutation_seed=seed,
-                skip=_int(cfg.get("skip", 0), "skip"), veech=mode == "qmc",
-            )
+            ospec = OrthoSequenceSpec(n, permutation_seed=args.seed, skip=args.skip or 0,
+                                      veech=mode == "qmc")
             frames = OrthoSequence(ospec).take(count)
         if k is not None:
             frames = beta_k(frames, k).basis
@@ -267,25 +221,18 @@ def _frame_rows(cfg: dict, count: int, k: int | None = None):
     return header, [(m, *frames[m - 1].ravel()) for m in range(1, count + 1)]
 
 
-def _grassmann_rows(cfg: dict, count: int):
-    return _frame_rows(cfg, count, _int(_require(cfg, "k"), "k"))
-
-
-def _udsg_rows(cfg: dict, count: int):
+def _udsg_rows(args: argparse.Namespace):
     # one gap block gives both columns: q_m = 1 + r_1 + ... + r_m
-    r = udsg.r_sequence(count)
+    r = udsg.r_sequence(args.count)
     q = (1 + np.cumsum(r)).tolist()
-    return ["m", "q", "r"], [(m, q[m - 1], r[m - 1]) for m in range(1, count + 1)]
+    return ["m", "q", "r"], [(m, q[m - 1], r[m - 1]) for m in range(1, args.count + 1)]
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    cfg = _merged(args)
-    out = _output(cfg)
-    count = _int(_require(cfg, "count"), "count")
-    if count < 1:
+    if args.count < 1:
         raise CliError("count must be >= 1")
-    header, rows = args.rows(cfg, count)
-    _write_csv(out, header, rows)
+    header, rows = args.rows(args)
+    _write_csv(args.output, header, rows)
     return 0
 
 
@@ -389,17 +336,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", allow_abbrev=False,
                            help="run one experiment, emit its trace")
+    body = p_est.add_mutually_exclusive_group(required=True)
     for name in ("config", "polytope", "polytope-file", "k", "N", "mode", "seed", "trace",
                  "reference", "output"):
-        p_est.add_argument("--" + name, **_FLAGS[name])
+        group = body if name in ("polytope", "polytope-file") else p_est
+        group.add_argument("--" + name, **_FLAGS[name])
     p_est.set_defaults(func=cmd_estimate)
 
     targets = sub.add_parser("gen", allow_abbrev=False,
                              help="emit a sequence prefix as CSV").add_subparsers(required=True)
     for target, names, rows in (
-        ("sphere", ("n", "seed", "kind", "skip"), _sphere_rows),
-        ("ortho", ("n", "mode", "seed", "kind", "skip"), _frame_rows),
-        ("grassmann", ("n", "k", "mode", "seed", "kind", "skip"), _grassmann_rows),
+        ("sphere", ("n", "seed", "skip"), _sphere_rows),
+        ("ortho", ("n", "mode", "seed", "skip"), _frame_rows),
+        ("grassmann", ("n", "k", "mode", "seed", "skip"), lambda args: _frame_rows(args, args.k)),
         ("udsg", (), _udsg_rows),
     ):
         p_gen = targets.add_parser(target, allow_abbrev=False)
@@ -411,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(_with_config(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except CliError as exc:

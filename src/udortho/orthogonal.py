@@ -68,12 +68,20 @@ def _o2_batch(phi: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return g
 
 
+def _rows_at(read, idx: np.ndarray) -> np.ndarray:
+    """Rows of a sequence at the 1-based indices idx, where read(count, start)
+    gives rows start..start+count-1: one read per run of consecutive indices
+    among them, so indices far apart do not read the rows between them."""
+    runs, inverse = np.unique(idx, return_inverse=True)
+    cuts = np.flatnonzero(np.diff(runs) != 1) + 1
+    return np.concatenate([read(len(run), int(run[0])) for run in np.split(runs, cuts)])[inverse]
+
+
 def _o2_elements(spec: SequenceSpec, idx: np.ndarray) -> np.ndarray:
     """The O(2) base at the 1-based indices idx: the first coordinate of each
     cube point gives the angle (times 2 pi), the second the determinant sign
     via the threshold 1/2."""
-    lo = int(idx.min())
-    u = points(spec, int(idx.max()) - lo + 1, lo)[idx - lo]
+    u = _rows_at(lambda count, start: points(spec, count, start), idx)
     return _o2_batch(2.0 * np.pi * u[:, 0], np.where(u[:, 1] < 0.5, 1.0, -1.0))
 
 
@@ -367,7 +375,8 @@ class OrthoSequence:
 
         This is the only place elements of a level above 2 are built; the
         element tables are a cache in front of it.  x_a comes from the
-        level's sphere table, or directly when a reaches past it.
+        level's sphere table, or, when a reaches past it, is read directly
+        at the distinct a alone.
         """
         a, b = convolution_indices(idx)
         spec = self.spec.sphere_specs[lvl - 3]
@@ -375,8 +384,7 @@ class OrthoSequence:
         if _near(self._x[lvl], top):
             x = _grown(self._x, lvl, top, lambda lo, hi: sphere_points(lvl, spec, hi - lo, lo))[a]
         else:
-            lo = int(a.min())
-            x = sphere_points(lvl, spec, top - lo + 1, lo)[a - lo]
+            x = _rows_at(lambda count, start: sphere_points(lvl, spec, count, start), a)
         sub, inverse = np.unique(b, return_inverse=True)
         return _cosets(x, self._at(lvl - 1, sub)[inverse])
 

@@ -402,17 +402,23 @@ def test_streaming_memory_is_bounded(veech):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_noveech_far_element_bypasses_the_tables(n):
     # element 10^12 reads lower-level rows near 10^6; computed directly,
-    # they take no table to that length (which would be 100s of MB)
+    # they take no table to that length (which would be 100s of MB).  The
+    # block at offsets 1025..1536 past (k - 1)^2 pairs k with 512..768 both
+    # ways; read as the range between them, its points would be k rows
     spec = default_ortho_spec(n, veech=False)
     seq = OrthoSequence(spec)
+    start = (10**6 - 1) ** 2 + 1025
     tracemalloc.start()
     try:
         far = seq.element(10**12)
+        block = seq.frames(start, BLOCK)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
     assert np.abs(far - noveech_reference(spec, n, np.array([10**12]))[0]).max() < 1e-14
+    ref = noveech_reference(spec, n, np.arange(start, start + BLOCK))
+    assert np.abs(block - ref).max() < 1e-14
 
 
 def test_noveech_far_rows_stay_out_of_the_tables():
