@@ -13,9 +13,10 @@ Each stage has one batched path: `points` (cube), `sphere_points` (sphere),
 `OrthoSequence.frames` (O(n)) and `beta_k` (G(n, k), which maps a stack of
 frames to a stack of subspaces); `run` reads frames a block at a time.
 `point_at` and `sphere_sequence` are one-index delegates, kept because the
-benchmark's tracer binds them.  The sequence kinds and the estimate modes
-are declared once, as `lowdisc.KINDS` and `estimator.MODES`; every `--mode`
-flag of the CLI takes its choices from `MODES`.
+benchmark's tracer binds them.  The cube points are scrambled Halton read
+from index 1, so (n, seed) alone chooses them.  The estimate modes are
+declared once, as `estimator.MODES`; every `--mode` flag of the CLI takes
+its choices from `MODES`.
 """
 
 from .estimator import (

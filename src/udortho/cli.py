@@ -13,16 +13,16 @@ Run it as `udortho <command>` once installed, or as `python -m udortho
 Each flag is declared once, in `_FLAGS`.  Each command takes only the flags
 it reads, each in one spelling (no parser takes an abbreviation):
 
-    gen sphere     --config --count --n --seed --skip --output
-    gen ortho      --config --count --n --mode --seed --skip --output
-    gen grassmann  --config --count --n --k --mode --seed --skip --output
+    gen sphere     --config --count --n --seed --output
+    gen ortho      --config --count --n --mode --seed --output
+    gen grassmann  --config --count --n --k --mode --seed --output
     gen udsg       --config --count --output
     estimate       --config --polytope --polytope-file --k --N --mode
                    --seed --trace --reference --output
 
 --count, --n, --k and --N are required, and so is one of --polytope and
---polytope-file.  --mode takes `estimator.MODES` (default qmc); --skip
-chooses the quasi sequence, so random mode refuses it.
+--polytope-file.  --mode takes `estimator.MODES` (default qmc).  A quasi
+sequence is read from its first index; --seed alone chooses it.
 
 A config file is the flags it stands for: `--config PATH` names a JSON
 object whose keys are flag names with "_" for "-", and its entries become
@@ -33,8 +33,7 @@ for a numeric flag, or for --trace a list of those, comma-joined.
 What argparse refuses (an unknown flag or key, a bad value, a missing
 flag) is a usage error.  What is checked after parsing is one JSON line
 {"error": ...} on stderr: a polytope that does not load, an invalid spec
-(a negative seed, an index past 2^63 - 1), a count below 1, random mode
-with --skip.  Both exit with status 2.
+(a negative seed), a count below 1.  Both exit with status 2.
 
 Every command is deterministic.  A run's one seed, --seed, drives the Haar
 draws of random mode and the digit scrambling of the quasi modes and of
@@ -96,7 +95,6 @@ _FLAGS = {
     "polytope-file": {"help": "JSON polytope document"},
     **dict.fromkeys(("n", "k", "N", "count"), {"type": int, "required": True}),
     "seed": {"type": int, "default": 0},
-    "skip": {"type": int},
     "mode": {"choices": MODES, "default": "qmc", "help": "default: %(default)s"},
     "trace": {"type": _counts, "default": (), "help": "comma-separated counts to record"},
     "reference": {"type": _finite, "help": "reference value for the abs_err column"},
@@ -191,8 +189,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def _sphere_rows(args: argparse.Namespace):
     n, count = args.n, args.count
     try:
-        spec = SequenceSpec("scrambled-halton", input_dims(n), skip=args.skip or 0,
-                            permutation_seed=args.seed)
+        spec = SequenceSpec(input_dims(n), permutation_seed=args.seed)
         pts = sphere_points(n, spec, count)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -203,14 +200,11 @@ def _sphere_rows(args: argparse.Namespace):
 def _frame_rows(args: argparse.Namespace, k: int | None = None):
     """O(n) frames, or given k their first k columns: bases on G(n, k)."""
     n, count, mode = args.n, args.count, args.mode
-    if mode == "random" and args.skip is not None:
-        raise CliError("skip chooses the quasi sequence; random mode takes none")
     try:
         if mode == "random":
             frames = random_ortho_batch(n, count, np.random.default_rng(args.seed))
         else:
-            ospec = OrthoSequenceSpec(n, permutation_seed=args.seed, skip=args.skip or 0,
-                                      veech=mode == "qmc")
+            ospec = OrthoSequenceSpec(n, permutation_seed=args.seed, veech=mode == "qmc")
             frames = OrthoSequence(ospec).take(count)
         if k is not None:
             frames = beta_k(frames, k).basis
@@ -346,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     targets = sub.add_parser("gen", allow_abbrev=False,
                              help="emit a sequence prefix as CSV").add_subparsers(required=True)
     for target, names, rows in (
-        ("sphere", ("n", "seed", "skip"), _sphere_rows),
-        ("ortho", ("n", "mode", "seed", "skip"), _frame_rows),
-        ("grassmann", ("n", "k", "mode", "seed", "skip"), lambda args: _frame_rows(args, args.k)),
+        ("sphere", ("n", "seed"), _sphere_rows),
+        ("ortho", ("n", "mode", "seed"), _frame_rows),
+        ("grassmann", ("n", "k", "mode", "seed"), lambda args: _frame_rows(args, args.k)),
         ("udsg", (), _udsg_rows),
     ):
         p_gen = targets.add_parser(target, allow_abbrev=False)

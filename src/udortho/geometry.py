@@ -135,10 +135,6 @@ def load_polytope(source: str | Path | dict) -> Polytope:
     return Polytope(int(n), np.asarray(doc["vertices"], dtype=float), str(doc.get("label", "")))
 
 
-def polytope_to_dict(p: Polytope) -> dict:
-    return {"n": p.n, "label": p.label, "vertices": p.vertices.tolist()}
-
-
 def _is_flat(pts: np.ndarray) -> bool:
     """Whether the cloud spans fewer than pts.shape[1] dimensions: its d-th
     centred singular value is at most _FLAT_REL_TOL times its largest."""

@@ -6,8 +6,9 @@ re-derived at any time from the spec alone.  `points` computes them a
 range of indices at a time; `point_at`, a range of one, is kept as a
 delegate because the benchmark's tracer binds that name.
 
-There are two kinds (`KINDS`): Halton and scrambled Halton.  The
-one-dimensional Halton sequence in base b is van der Corput's.
+The one sequence is digit-scrambled Halton, read from index 1 so that the
+origin never appears.  A seed whose permutations are all the identity gives
+plain Halton, whose one-dimensional case in base b is van der Corput's.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from math import gcd
 from numbers import Integral
 
 import numpy as np
-
-KINDS = ("halton", "scrambled-halton")
 
 # Digit weights below 2^-63 are dropped: they are unrepresentable next to
 # the leading digits in double precision.
@@ -40,6 +39,20 @@ def first_primes(count: int) -> list[int]:
             primes.append(x)
         x += 1
     return primes
+
+
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_range(start, count) -> None:
+    """Refuse a range of 1-based indices unless start >= 1 and count >= 0
+    are integers: a fraction is not truncated and a boolean is not 0 or 1."""
+    for name, value, low in (("start", start, 1), ("count", count, 0)):
+        _check_integer(name, value)
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @lru_cache(maxsize=None)
@@ -63,37 +76,28 @@ def digit_permutation(base: int, seed: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """Recipe for a d-dimensional low-discrepancy sequence.
+    """Recipe for a d-dimensional scrambled Halton sequence.
 
     `bases` defaults to the first `dims` primes and must be pairwise
-    coprime.  `skip` discards that many leading indices.  Scrambling uses
-    one digit permutation per base, derived from `permutation_seed` by
-    `digit_permutation`; all permutations fix digit 0.  dims, skip, the
-    seed and the bases must be integers (not booleans); numpy integers are
-    stored as ints.
+    coprime.  Scrambling uses one digit permutation per base, derived from
+    `permutation_seed` by `digit_permutation`; all permutations fix digit 0.
+    dims, the seed and the bases must be integers (not booleans); numpy
+    integers are stored as ints.
     """
 
-    kind: str = "halton"
     dims: int = 1
     bases: tuple[int, ...] = ()
-    skip: int = 0
     permutation_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
-        for name, value in (("dims", self.dims), ("skip", self.skip),
-                            ("permutation_seed", self.permutation_seed),
+        for name, value in (("dims", self.dims), ("permutation_seed", self.permutation_seed),
                             *(("base", b) for b in self.bases)):
-            if not isinstance(value, Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, value)
         # numpy integers would overflow in the scrambling hash
-        for name in ("dims", "skip", "permutation_seed"):
+        for name in ("dims", "permutation_seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
         if self.dims < 1:
             raise ValueError(f"dims must be >= 1, got {self.dims}")
-        if self.skip < 0:
-            raise ValueError(f"skip must be >= 0, got {self.skip}")
         if self.permutation_seed < 0:
             raise ValueError("permutation_seed must be >= 0")
         bases = self.bases or tuple(first_primes(self.dims))
@@ -109,30 +113,25 @@ class SequenceSpec:
                     raise ValueError(f"bases {a} and {b} are not coprime")
 
     def permutations(self) -> tuple[tuple[int, ...], ...]:
-        """Per-base digit permutations (identity unless scrambling)."""
-        if self.kind == "scrambled-halton":
-            return tuple(digit_permutation(b, self.permutation_seed) for b in self.bases)
-        return tuple(tuple(range(b)) for b in self.bases)
+        """Per-base digit permutations."""
+        return tuple(digit_permutation(b, self.permutation_seed) for b in self.bases)
 
 
 def points(spec: SequenceSpec, count: int, start: int = 1) -> np.ndarray:
     """Points `start` .. `start+count-1` (1-based) as a (count, dims) array.
 
-    Coordinate j of point i is the radical inverse of i + skip in base b_j:
-    the base-b digits a_l of the index, passed through the base's digit
+    Coordinate j of point i is the radical inverse of i in base b_j: the
+    base-b digits a_l of the index, passed through the base's digit
     permutation, are mirrored about the radix point, sum perm(a_l) b^(-l-1),
-    which lies in [0, 1).  The indices are int64, so the last one,
-    start + count - 1 + skip, must not exceed 2^63 - 1.
+    which lies in [0, 1).  start and count must be integers (not booleans).
+    The indices are int64, so the last one, start + count - 1, must not
+    exceed 2^63 - 1.
     """
-    if start < 1:
-        raise ValueError(f"start must be >= 1, got {start}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if start + count - 1 + spec.skip > _MAX_INDEX:
-        raise ValueError(
-            f"index {start + count - 1} + skip {spec.skip} exceeds 2^63 - 1"
-        )
-    idx = np.arange(start, start + count, dtype=np.int64) + spec.skip
+    check_range(start, count)
+    last = int(start) + int(count) - 1  # numpy integers would wrap
+    if last > _MAX_INDEX:
+        raise ValueError(f"index {last} exceeds 2^63 - 1")
+    idx = np.arange(start, start + count, dtype=np.int64)
     out = np.zeros((count, spec.dims))
     perms = spec.permutations()
     for j, (b, perm) in enumerate(zip(spec.bases, perms)):

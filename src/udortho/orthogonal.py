@@ -43,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from . import udsg
-from .lowdisc import SequenceSpec, first_primes, points
+from .lowdisc import SequenceSpec, check_range, first_primes, points
 from .sphere import input_dims, sphere_points
 
 # Indices per block of the sequence, and frames per block of `estimator.run`.
@@ -186,22 +186,19 @@ class OrthoSequenceSpec:
     """Recipe for the O(n) sequence: n, the cube sequences of its levels and
     whether the cumulative-product step is on.
 
-    Only n, `kind`, `permutation_seed`, `skip` and `veech` are set; the level
-    layout is derived.  `base_spec`, feeding the O(2) base, has bases (2, 3),
-    and `sphere_specs[i-3]`, feeding the sphere S^(i-1) used at level i, has
+    Only n, `permutation_seed` and `veech` are set; the level layout is
+    derived.  `base_spec`, feeding the O(2) base, has bases (2, 3), and
+    `sphere_specs[i-3]`, feeding the sphere S^(i-1) used at level i, has
     the next `input_dims(i)` unused primes, so no prime feeds two levels;
-    every level takes `kind`, `skip` and `permutation_seed`.  `veech`
-    switches the cumulative-product step on (True) or off (the
-    almost-continuity shortcut).  Both are uniformly distributed, but the
-    shortcut converges slowly: its first N = K^2 elements use only about
-    N^(1/2^(n-i+1)) distinct sphere points at level i, and as many elements
-    of level i-1.
+    every level takes `permutation_seed`.  `veech` switches the
+    cumulative-product step on (True) or off (the almost-continuity
+    shortcut).  Both are uniformly distributed, but the shortcut converges
+    slowly: its first N = K^2 elements use only about N^(1/2^(n-i+1))
+    distinct sphere points at level i, and as many elements of level i-1.
     """
 
     n: int
-    kind: str = "scrambled-halton"
     permutation_seed: int = 0
-    skip: int = 0
     veech: bool = True
     base_spec: SequenceSpec = field(init=False, repr=False, compare=False)
     sphere_specs: tuple[SequenceSpec, ...] = field(init=False, repr=False, compare=False)
@@ -213,10 +210,8 @@ class OrthoSequenceSpec:
             raise ValueError(f"veech must be a bool, got {self.veech!r}")
         dims = [2] + [input_dims(i) for i in range(3, self.n + 1)]
         primes = iter(first_primes(sum(dims)))
-        base, *spheres = (
-            SequenceSpec(self.kind, d, tuple(islice(primes, d)), self.skip, self.permutation_seed)
-            for d in dims
-        )
+        base, *spheres = (SequenceSpec(d, tuple(islice(primes, d)), self.permutation_seed)
+                           for d in dims)
         object.__setattr__(self, "base_spec", base)
         object.__setattr__(self, "sphere_specs", tuple(spheres))
 
@@ -232,11 +227,6 @@ def _gram_defects(w: np.ndarray) -> np.ndarray:
     g = np.ascontiguousarray(w.transpose(0, 2, 1)) @ w
     g.reshape(-1, n * n)[:, :: n + 1] -= 1.0
     return np.abs(g, out=g)
-
-
-def orthogonality_defect(m: np.ndarray) -> float:
-    """max |M^T M - I|."""
-    return float(_gram_defects(np.asarray(m, dtype=float)[None]).max())
 
 
 def _repair(w: np.ndarray) -> int:
@@ -315,11 +305,9 @@ class OrthoSequence:
         self._x = {lvl: np.full((1, lvl), np.nan) for lvl in levels}
 
     def frames(self, start: int, count: int) -> np.ndarray:
-        """Elements start..start+count-1 stacked into a fresh (count, n, n) array."""
-        if start < 1:
-            raise ValueError(f"index must be >= 1, got {start}")
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        """Elements start..start+count-1 stacked into a fresh (count, n, n)
+        array; start >= 1 and count >= 0 must be integers (not booleans)."""
+        check_range(start, count)
         n = self.spec.n
         out = np.empty((count, n, n))
         lo, stop = start, start + count

@@ -75,7 +75,7 @@ def test_criterion_2_coset_map():
     worst_push = 0.0
     worst_inv = 0.0
     for n in (3, 4, 5):
-        spec = SequenceSpec("scrambled-halton", input_dims(n))
+        spec = SequenceSpec(input_dims(n))
         pts = sphere_points(n, spec, SMALL_N)
         for x in pts:
             phi = coset_rep(x)
@@ -124,7 +124,7 @@ def test_criterion_5_uniformity_moments(frames):
     ok = True
 
     for n in (3, 4):
-        spec = SequenceSpec("scrambled-halton", input_dims(n))
+        spec = SequenceSpec(input_dims(n))
         pts = sphere_points(n, spec, BIG_N)
         dev = abs(float(np.mean(pts[:, 0] ** 2)) - 1.0 / n)
         ok &= dev < 5e-3

@@ -10,13 +10,8 @@ import pytest
 from udortho import cli
 from udortho.cli import main
 from udortho.estimator import MODES, ExperimentSpec, reference_value, run
-from udortho.geometry import builtin, crofton_constant, polytope_to_dict
-from udortho.orthogonal import (
-    OrthoSequence,
-    default_ortho_spec,
-    orthogonality_defect,
-    random_ortho_batch,
-)
+from udortho.geometry import builtin, crofton_constant
+from udortho.orthogonal import OrthoSequence, default_ortho_spec, random_ortho_batch
 
 
 def run_cli(capsys, argv):
@@ -30,6 +25,11 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def polytope_to_dict(p):
+    """A polytope as the JSON document `load_polytope` reads."""
+    return {"n": p.n, "label": p.label, "vertices": p.vertices.tolist()}
 
 
 def subparsers(parser):
@@ -110,7 +110,7 @@ def test_gen_ortho_modes(capsys):
         assert header[0] == "m" and len(header) == 10
         assert len(rows) == 2
         g = np.array([float(c) for c in rows[1][1:]]).reshape(3, 3)
-        assert orthogonality_defect(g) < 1e-10
+        assert np.abs(g.T @ g - np.eye(3)).max() < 1e-10
 
 
 def test_gen_random_is_the_batch_of_estimate(capsys):
@@ -166,7 +166,7 @@ def test_gen_requires_count(capsys):
 @pytest.mark.parametrize(
     "what, key",
     [("udsg", "count"), ("sphere", "n"), ("grassmann", "k"), ("ortho", "seed"),
-     ("sphere", "seed"), ("ortho", "skip")],
+     ("sphere", "seed")],
 )
 def test_gen_config_rejects_non_numbers(capsys, tmp_path, what, key):
     cfg = {**GEN_CFG[what], key: "x"}
@@ -186,7 +186,7 @@ def test_estimate_config_rejects_non_numbers_before_running(capsys, tmp_path, mo
 @pytest.mark.parametrize(
     "what, key",
     [("udsg", "count"), ("sphere", "n"), ("grassmann", "k"), ("ortho", "seed"),
-     ("sphere", "seed"), ("ortho", "skip")],
+     ("sphere", "seed")],
 )
 def test_gen_config_refuses_non_integral_values(capsys, tmp_path, what, key, value):
     # a fractional or boolean integer parameter is an error, not truncated
@@ -466,9 +466,9 @@ def test_estimate_config_matches_flags(capsys, tmp_path):
 def test_gen_targets_declare_only_the_flags_they_read():
     common = {"config", "count", "output"}
     assert {what: declared(parser) for what, parser in GEN.items()} == {
-        "sphere": common | {"n", "seed", "skip"},
-        "ortho": common | {"n", "mode", "seed", "skip"},
-        "grassmann": common | {"n", "k", "mode", "seed", "skip"},
+        "sphere": common | {"n", "seed"},
+        "ortho": common | {"n", "mode", "seed"},
+        "grassmann": common | {"n", "k", "mode", "seed"},
         "udsg": common,
     }
     # the modes are spelt one way, as the estimator spells them
@@ -480,11 +480,9 @@ def test_gen_config_matches_flags(capsys, tmp_path):
     # every parameter of a target given in a config file prints the bytes
     # that the same parameters given as flags print, and each parameter the
     # target declares is read: changing any one of them changes the rows.
-    # A None in a change drops that key (random mode takes no skip).
-    base = {"n": 4, "k": 2, "count": 40, "mode": "qmc", "seed": 3, "skip": 5}
+    base = {"n": 4, "k": 2, "count": 40, "mode": "qmc", "seed": 3}
     changes = [{}, {"n": 3}, {"k": 1}, {"count": 41}, {"mode": "qmc-noveech"},
-               {"mode": "random", "skip": None}, {"mode": "random", "seed": 4, "skip": None},
-               {"seed": 4}, {"skip": 6}]
+               {"mode": "random"}, {"mode": "random", "seed": 4}, {"seed": 4}]
     cfg_path = tmp_path / "gen.json"
     for what, parser in GEN.items():
         flags_of = declared(parser)
@@ -493,8 +491,7 @@ def test_gen_config_matches_flags(capsys, tmp_path):
         assert set().union(*target_changes) == flags_of - {"config", "output"}
         outputs = []
         for change in target_changes:
-            cfg = {key: value for key, value in {**target_base, **change}.items()
-                   if value is not None}
+            cfg = {**target_base, **change}
             flags = [text for key, value in cfg.items()
                      for text in ("--" + key.replace("_", "-"), str(value))]
             cfg_path.write_text(json.dumps(cfg))
@@ -531,7 +528,8 @@ GEN_FLAG_VALUES = {"n": "3", "k": "1", "mode": "qmc", "seed": "1", "kind": "halt
 )
 def test_gen_refuses_a_flag_the_target_does_not_read(capsys, tmp_path, monkeypatch, what, key):
     # as a flag and as a config key it is an unrecognized argument (no
-    # target takes --kind, which chose the unscrambled sequence)
+    # target takes --kind, which chose the unscrambled sequence, or --skip,
+    # which offset the sequence's indices)
     _draws_nothing(monkeypatch)
     value = GEN_FLAG_VALUES[key]
     err = refused(capsys, ["gen", what, *gen_flags(what), "--" + key, value])
@@ -554,19 +552,6 @@ def test_no_parser_takes_an_abbreviated_flag(capsys, tmp_path, monkeypatch, argv
     assert f"unrecognized arguments: {unread}" in err
 
 
-@pytest.mark.parametrize("what", ["ortho", "grassmann"])
-def test_gen_random_mode_refuses_skip(capsys, tmp_path, monkeypatch, what):
-    # skip chooses the quasi sequence; random mode does not read it
-    _draws_nothing(monkeypatch)
-    flags = ["gen", what, *gen_flags(what)]
-    err = refused(capsys, [*flags, "--mode", "random", "--skip", "0"])
-    assert "random mode" in json.loads(err)["error"]
-    for argv, cfg in ((["gen", what], {**GEN_CFG[what], "mode": "random", "skip": 0}),
-                      ([*flags, "--mode", "random"], {"skip": 0})):
-        err = refused(capsys, with_config(tmp_path, argv, cfg))
-        assert "random mode" in json.loads(err)["error"]
-
-
 @pytest.mark.parametrize("mode", ["qr", "qr-noveech", "Random", 1])
 def test_gen_config_mode_is_one_of_modes(capsys, tmp_path, monkeypatch, mode):
     _draws_nothing(monkeypatch)
@@ -587,21 +572,6 @@ def test_a_non_string_output_exits_2_before_any_work(capsys, tmp_path, monkeypat
     _draws_nothing(monkeypatch)
     err = refused(capsys, with_config(tmp_path, argv, cfg))
     assert f"config key 'output' is not text for --output: {cfg['output']!r}" in err
-
-
-@pytest.mark.parametrize("what", ["sphere", "ortho", "grassmann"])
-def test_gen_rejects_indices_past_int64(capsys, what):
-    # cube indices are int64; a skip that pushes them past 2^63 - 1 is an
-    # input error, not a silent wrap to negative indices
-    argv = ["gen", what, "--n", "3", *(["--k", "1"] if what == "grassmann" else []),
-            "--count", "2", "--skip", str(2**63 - 1)]
-    assert "2^63 - 1" in json.loads(refused(capsys, argv))["error"]
-    # in range: the sequence reads some way past index 2 (a block of
-    # products, and the factors of its gaps)
-    argv[-1] = str(2**63 - 10**6)
-    rc, out, _ = run_cli(capsys, argv)
-    assert rc == 0
-    assert len(parse_csv(out)[1]) == 2
 
 
 def test_gen_udsg_output_file(capsys, tmp_path):

@@ -17,13 +17,18 @@ from udortho.geometry import (
     hull_measure,
     intrinsic_volume,
     load_polytope,
-    polytope_to_dict,
     projection_measure,
     random_spherical_polytope,
     simplex_mean_projection_area,
 )
 from udortho.estimator import ExperimentSpec, run
 from udortho.orthogonal import OrthoSequence, coset_rep, default_ortho_spec, random_ortho_batch
+
+
+def polytope_to_dict(p):
+    """A polytope as the JSON document `load_polytope` reads."""
+    return {"n": p.n, "label": p.label, "vertices": p.vertices.tolist()}
+
 
 KIRKMAN_EXPECTED = {
     tuple(v)

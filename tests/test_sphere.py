@@ -44,9 +44,9 @@ def test_odd_examples():
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        sphere_points(2, SequenceSpec("halton", 3), 1)  # S^1 needs a 2-D spec
+        sphere_points(2, SequenceSpec(3), 1)  # S^1 needs a 2-D spec
     with pytest.raises(ValueError):
-        sphere_points(3, SequenceSpec("halton", 2), 1)  # S^2 needs a 4-D spec
+        sphere_points(3, SequenceSpec(2), 1)  # S^2 needs a 4-D spec
     with pytest.raises(ValueError):
         input_dims(1)
 
@@ -59,7 +59,7 @@ def test_input_dims():
 
 
 def test_unit_norm_for_halton_inputs():
-    spec = SequenceSpec("halton", 4)
+    spec = SequenceSpec(4)
     pts = sphere_points(3, spec, 1000)
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     pts4 = sphere_points(4, spec, 1000)
@@ -74,10 +74,10 @@ def test_extreme_coordinates_stay_finite():
 
 
 def test_dispatch_even_and_odd():
-    spec2 = SequenceSpec("halton", 2)
+    spec2 = SequenceSpec(2)
     ref = box_muller_reference(point_at(spec2, 7), 2)
     np.testing.assert_allclose(sphere_sequence(2, spec2, 7), ref, rtol=0, atol=1e-15)
-    spec4 = SequenceSpec("halton", 4)
+    spec4 = SequenceSpec(4)
     for n in (3, 4):
         ref = box_muller_reference(point_at(spec4, 7), n)
         np.testing.assert_allclose(sphere_sequence(n, spec4, 7), ref, rtol=0, atol=1e-15)
@@ -86,7 +86,7 @@ def test_dispatch_even_and_odd():
 
 
 def test_batch_matches_scalar():
-    spec = SequenceSpec("scrambled-halton", 4, permutation_seed=5)
+    spec = SequenceSpec(4, permutation_seed=5)
     batch = sphere_points(3, spec, 500)
     for index in (1, 2, 99, 500):
         assert np.array_equal(batch[index - 1], sphere_sequence(3, spec, index))
@@ -94,7 +94,7 @@ def test_batch_matches_scalar():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_uniformity_moments(n):
-    spec = SequenceSpec("scrambled-halton", input_dims(n))
+    spec = SequenceSpec(input_dims(n))
     pts = sphere_points(n, spec, 100000)
     # second moment of any coordinate of a uniform direction is 1/n
     assert abs(np.mean(pts[:, 0] ** 2) - 1.0 / n) < 5e-3
@@ -102,6 +102,6 @@ def test_uniformity_moments(n):
 
 
 def test_empirical_mean_vanishes_on_s2():
-    spec = SequenceSpec("scrambled-halton", 4)
+    spec = SequenceSpec(4)
     pts = sphere_points(3, spec, 100000)
     assert np.abs(pts.mean(axis=0)).max() < 0.01
