@@ -11,7 +11,8 @@ to a Haar-random baseline.
 
 Each stage has one batched path: `points` (cube), `sphere_points` (sphere),
 `OrthoSequence.frames` (O(n)) and `beta_k` (G(n, k), which maps a stack of
-frames to a stack of subspaces); `run` reads frames a block at a time.
+frames to a `Subspace` holding their checked orthonormal bases); `run`
+reads frames a block at a time.
 `point_at` and `sphere_sequence` are one-index delegates, kept because the
 benchmark's tracer binds them.  The cube points are scrambled Halton read
 from index 1, so (n, seed) alone chooses them.  The estimate modes are
@@ -36,7 +37,7 @@ from .geometry import (
     load_polytope,
     random_spherical_polytope,
 )
-from .grassmann import Subspace, beta_k, complement, principal_angles
+from .grassmann import Subspace, beta_k
 from .lowdisc import SequenceSpec, point_at, points
 from .orthogonal import (
     OrthoSequence,
@@ -70,7 +71,6 @@ __all__ = [
     "builtin",
     "champernowne_digit",
     "compare",
-    "complement",
     "convolution_index",
     "coset_rep",
     "crofton_constant",
@@ -80,7 +80,6 @@ __all__ = [
     "occurrence_positions",
     "point_at",
     "points",
-    "principal_angles",
     "r_sequence",
     "random_ortho_batch",
     "random_spherical_polytope",

@@ -1,13 +1,32 @@
 import numpy as np
 import pytest
 
-from udortho.grassmann import Subspace, beta_k, complement, principal_angles
+from udortho.grassmann import Subspace, beta_k
 from udortho.orthogonal import OrthoSequence, default_ortho_spec, random_ortho_batch
+
+
+def projector(sub: Subspace) -> np.ndarray:
+    """The orthogonal projectors B B^T (basis-independent)."""
+    return sub.basis @ sub.basis.swapaxes(-1, -2)
+
+
+def complement(sub: Subspace) -> Subspace:
+    """The orthogonal complements, satisfying P + P_perp = I: the left
+    singular vectors orthogonal to each basis."""
+    u, _, _ = np.linalg.svd(sub.basis, full_matrices=True)
+    return Subspace(u[..., sub.k :])
+
+
+def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
+    """Principal angles (radians, increasing along the last axis) between
+    two subspaces, or between matching members of stacks that broadcast."""
+    sigma = np.linalg.svd(a.basis.swapaxes(-1, -2) @ b.basis, compute_uv=False)
+    return np.arccos(np.clip(sigma, -1.0, 1.0))[..., ::-1]
 
 
 def projector_distance(a: Subspace, b: Subspace) -> float:
     """max-entry distance between the projectors of two subspaces."""
-    return float(np.abs(a.projector() - b.projector()).max())
+    return float(np.abs(projector(a) - projector(b)).max())
 
 
 def frames_of(source: str, n: int, count: int) -> np.ndarray:
@@ -40,7 +59,7 @@ def test_projector_identity_against_frames():
     seq = OrthoSequence(default_ortho_spec(4))
     for m in range(1, 1001):
         g = seq.element(m)
-        p = beta_k(g, 2).projector()
+        p = projector(beta_k(g, 2))
         expected = g @ np.diag([1.0, 1.0, 0.0, 0.0]) @ g.T
         assert np.abs(p - expected).max() < 1e-12
 
@@ -49,7 +68,7 @@ def test_complement_examples():
     sub = beta_k(np.eye(3), 2)
     comp = complement(sub)
     assert comp.k == 1
-    assert np.abs(comp.projector() - np.diag([0.0, 0.0, 1.0])).max() < 1e-15
+    assert np.abs(projector(comp) - np.diag([0.0, 0.0, 1.0])).max() < 1e-15
 
 
 def test_complement_projector_decomposition():
@@ -58,7 +77,7 @@ def test_complement_projector_decomposition():
     for g in frames[:: 50]:
         sub = beta_k(g, 2)
         comp = complement(sub)
-        assert np.abs(sub.projector() + comp.projector() - np.eye(4)).max() < 1e-10
+        assert np.abs(projector(sub) + projector(comp) - np.eye(4)).max() < 1e-10
         # involution up to projector equality
         assert projector_distance(complement(comp), sub) < 1e-10
 
@@ -68,7 +87,7 @@ def test_complement_without_carried_frame():
     sub = Subspace(basis=basis)
     comp = complement(sub)
     assert comp.k == 2
-    assert np.abs(sub.projector() + comp.projector() - np.eye(4)).max() < 1e-12
+    assert np.abs(projector(sub) + projector(comp) - np.eye(4)).max() < 1e-12
 
 
 def test_subspace_validation():
@@ -179,7 +198,7 @@ def test_stacked_complement_and_angles_match_per_frame(n, k):
     assert (comp.n, comp.k) == (n, n - k)
     for i, g in enumerate(frames):
         one = complement(beta_k(g, k))
-        assert np.abs(comp.projector()[i] - one.projector()).max() < 1e-12
+        assert np.abs(projector(comp)[i] - projector(one)).max() < 1e-12
     others = beta_k(frames_of("qmc", n, 40), k)
     angles = principal_angles(subs, others)
     assert angles.shape == (40, k)
@@ -199,3 +218,31 @@ def test_subspace_is_immutable():
     with pytest.raises(AttributeError):
         del sub.basis
     assert np.array_equal(sub.basis, np.eye(3)[:, :2])
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, 1.5, np.float64(2.0), np.bool_(True), "2", None], ids=repr)
+def test_beta_k_refuses_a_non_integer_k(k):
+    # the rule of lowdisc.check_range: a boolean is not 0 or 1, and a float
+    # is refused rather than truncated or passed on to the slice
+    with pytest.raises(ValueError, match="k must be an integer"):
+        beta_k(np.eye(4), k)
+    assert beta_k(np.eye(4), np.int64(2)).k == 2
+
+
+def test_complex_input_is_refused_not_truncated():
+    g = np.eye(3) + 1e-3j
+    with pytest.raises(ValueError, match="real"):
+        beta_k(g, 1)
+    with pytest.raises(ValueError, match="real"):
+        beta_k(np.stack([np.eye(3), np.eye(3)]).astype(complex), 1)
+    with pytest.raises(ValueError, match="real"):
+        Subspace(g[:, :1])
+    # real input of another dtype is still read as float
+    assert Subspace(np.eye(3, 2, dtype=int)).basis.dtype == np.float64
+
+
+def test_a_subspace_has_no_instance_dict():
+    # one frame's push makes one Subspace, so its layout is on the hot path
+    sub = beta_k(np.eye(4), 2)
+    assert not hasattr(sub, "__dict__")
+    assert not hasattr(beta_k(np.stack([np.eye(4)] * 3), 2), "__dict__")

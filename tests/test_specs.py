@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import pytest
 
+import udortho
 from udortho.estimator import ExperimentSpec
 from udortho.lowdisc import SequenceSpec
 from udortho.orthogonal import OrthoSequenceSpec
@@ -19,3 +20,22 @@ SETTINGS = {
 @pytest.mark.parametrize("spec", SETTINGS, ids=lambda spec: spec.__name__)
 def test_specs_take_only_their_documented_settings(spec):
     assert tuple(f.name for f in fields(spec) if f.init) == SETTINGS[spec]
+
+
+# The package's public names: the pipeline stages, the specs and the
+# paper's named objects.  Test-only helpers live in the tests that use them.
+PUBLIC = {
+    "ComparisonReport", "ConvergenceTrace", "ExperimentSpec", "OrthoSequence",
+    "OrthoSequenceSpec", "Polytope", "SequenceSpec", "Subspace", "ball_volume",
+    "beta_k", "builtin", "champernowne_digit", "compare", "convolution_index",
+    "coset_rep", "crofton_constant", "generated", "hull_measure", "load_polytope",
+    "occurrence_positions", "point_at", "points", "r_sequence", "random_ortho_batch",
+    "random_spherical_polytope", "reference_value", "run", "sphere_points",
+    "sphere_sequence", "t_inverse",
+}
+
+
+def test_public_names_are_the_documented_set():
+    assert len(udortho.__all__) == len(set(udortho.__all__))
+    assert set(udortho.__all__) == PUBLIC
+    assert all(hasattr(udortho, name) for name in udortho.__all__)
