@@ -286,7 +286,7 @@ def intrinsic_volume(vertices: np.ndarray, j: int) -> float:
         i, p = np.nonzero(apart & (nbrs > np.arange(len(nbrs))[:, None]))
         ridges = verts[simplices[i][np.arange(n) != p[:, None]].reshape(-1, n - 1)]
         legs = ridges[:, 1:] - ridges[:, :1]
-        vol = np.sqrt(np.linalg.det(legs @ legs.mT)) / factorial(n - 2)
+        vol = np.sqrt(np.linalg.det(legs @ legs.swapaxes(-1, -2))) / factorial(n - 2)
         cos = np.einsum("ij,ij->i", normals[i], normals[nbrs[i, p]])
         return float(vol @ np.arccos(np.clip(cos, -1.0, 1.0))) / (2.0 * pi)
     pairs = np.sort(simplices[:, list(combinations(range(n), 2))], axis=2).reshape(-1, 2)

@@ -14,12 +14,14 @@ Which cube sequence feeds which level is fixed by `OrthoSequenceSpec`.
 
 Every step is computed a block of indices at a time.  Indices fall on a
 fixed grid of blocks of BLOCK (1..BLOCK, BLOCK+1..2 BLOCK, ...).  Without
-the generator step a frame depends on its index alone.  With it, the
-products of a block come from a two-level scan over the block's factors
-laid out as rows: prefix products within each row, one scan of the row
-totals started from the last product of the block before, and one batched
-product putting each row behind everything before it (Blelloch 1990), so
-a frame is a pure function of (spec, index) however the sequence is read.
+the generator step a frame depends on its index alone, and the top level
+is read _SPAN_BLOCKS grid blocks at a time.  With it, the products of a
+block come from a two-level scan over the block's factors laid out as
+rows: prefix products within each row by a left fold along its columns,
+one scan of the row totals started from the last product of the block
+before, and one batched product putting each row behind everything before
+it (Blelloch 1990), so a frame is a pure function of (spec, index) however
+the sequence is read.
 A sequence keeps, per level, prefix tables of its sphere points and of its
 interleaved elements, each computed once; they grow by doubling to cover
 the largest index met, and an index past twice a table's length plus BLOCK
@@ -51,6 +53,10 @@ BLOCK = 512
 
 # The Veech scan takes a block as rows of this many factors.
 _SCAN_COLS = 8
+
+# Without the generator step, `frames` reads the top level this many grid
+# blocks at a time.
+_SPAN_BLOCKS = 4
 
 # Re-orthonormalize a frame only past this defect.
 _REPAIR_TOL = 1e-10
@@ -267,11 +273,12 @@ def _grown(tables: dict[int, np.ndarray], lvl: int, top: int, rows) -> np.ndarra
 
 
 def _scan(p: np.ndarray) -> None:
-    """Prefix products p_0 p_1 ... p_i along axis -3 of a (..., count, n, n)
-    stack, in place, by a Hillis-Steele scan (log2 count batched steps)."""
+    """Prefix products p_0 p_1 ... p_i of a (count, n, n) stack, in place, by
+    a Hillis-Steele scan (log2 count batched steps); the Veech step scans
+    its row totals with it."""
     step = 1
-    while step < p.shape[-3]:
-        p[..., step:, :, :] = p[..., :-step, :, :] @ p[..., step:, :, :]
+    while step < len(p):
+        p[step:] = p[:-step] @ p[step:]
         step *= 2
 
 
@@ -280,8 +287,10 @@ class OrthoSequence:
 
     `frames(start, count)` reads any range (1-based) and `take`, `element`
     and iteration are built on it.  Work is done a grid block of BLOCK
-    indices at a time.  Each level from 3 up keeps prefix tables of its
-    sphere points and its interleaved elements (see the module docstring).
+    indices at a time; `frames` reads the top level one block at a time with
+    the generator step on and _SPAN_BLOCKS blocks at a time with it off.
+    Each level from 3 up keeps prefix tables of its sphere points and its
+    interleaved elements (see the module docstring).
     With the generator step on, each level also keeps its last block of
     products (read-only; a range inside it is read as a slice), whose last
     product carries into the next block's scan, and its stream of gap
@@ -306,13 +315,16 @@ class OrthoSequence:
 
     def frames(self, start: int, count: int) -> np.ndarray:
         """Elements start..start+count-1 stacked into a fresh (count, n, n)
-        array; start >= 1 and count >= 0 must be integers (not booleans)."""
+        array; start >= 1 and count >= 0 must be integers (not booleans).
+        The range is read a grid block at a time with the generator step on
+        and _SPAN_BLOCKS blocks at a time with it off."""
         check_range(start, count)
         n = self.spec.n
+        span = BLOCK if self.spec.veech else _SPAN_BLOCKS * BLOCK
         out = np.empty((count, n, n))
         lo, stop = start, start + count
         while lo < stop:
-            hi = min(stop, ((lo - 1) // BLOCK + 1) * BLOCK + 1)
+            hi = min(stop, ((lo - 1) // span + 1) * span + 1)
             out[lo - start : hi - start] = self._at(n, np.arange(lo, hi, dtype=np.int64))
             lo = hi
         return out
@@ -364,7 +376,9 @@ class OrthoSequence:
         This is the only place elements of a level above 2 are built; the
         element tables are a cache in front of it.  x_a comes from the
         level's sphere table, or, when a reaches past it, is read directly
-        at the distinct a alone.
+        at the distinct a alone.  Without the generator step h_b is read from
+        the element table of level lvl - 1 when it is near; otherwise level
+        lvl - 1 is read at the distinct b alone.
         """
         a, b = convolution_indices(idx)
         spec = self.spec.sphere_specs[lvl - 3]
@@ -373,6 +387,9 @@ class OrthoSequence:
             x = _grown(self._x, lvl, top, lambda lo, hi: sphere_points(lvl, spec, hi - lo, lo))[a]
         else:
             x = _rows_at(lambda count, start: sphere_points(lvl, spec, count, start), a)
+        top = int(b.max())
+        if not self.spec.veech and lvl > 3 and _near(self._z[lvl - 1], top):
+            return _cosets(x, self._z_table(lvl - 1, top)[b])
         sub, inverse = np.unique(b, return_inverse=True)
         return _cosets(x, self._at(lvl - 1, sub)[inverse])
 
@@ -384,11 +401,13 @@ class OrthoSequence:
         while done < j:
             done += 1
             r = next(gaps)
-            # rows of _SCAN_COLS factors: scan each row; scan the last
-            # product of the block before followed by the row totals, so
-            # entry i is everything before row i; put each row behind it
+            # rows of _SCAN_COLS factors: fold each row from the left, one
+            # batched product per column; scan the last product of the block
+            # before followed by the row totals, so entry i is everything
+            # before row i; put each row behind it
             p = self._z_table(lvl, int(r.max()))[r].reshape(-1, _SCAN_COLS, lvl, lvl)
-            _scan(p)
+            for c in range(1, _SCAN_COLS):
+                p[:, c] = p[:, c - 1] @ p[:, c]
             head = np.concatenate([np.eye(lvl)[None] if w is None else w[-1:], p[:, -1]])
             _scan(head)
             w = self._checked((head[:-1, None] @ p).reshape(BLOCK, lvl, lvl))

@@ -364,7 +364,7 @@ def test_noveech_frames_match_elementwise_rebuild(n):
 @pytest.mark.parametrize("n, count", [(3, 10**5), (4, 10**5), (5, 10**4)])
 def test_veech_frames_match_sequential_products(n, count):
     # the block scan reassociates the products; the two orders differ by
-    # 2.1e-13, 5.8e-13 and 1.3e-13 at n = 3, 4 (1e5 frames) and 5 (1e4)
+    # 1.2e-13, 2.0e-13 and 1.6e-14 at n = 3, 4 (1e5 frames) and 5 (1e4)
     spec = default_ortho_spec(n)
     frames = OrthoSequence(spec).take(count)
     ref = np.stack(veech_prefix(spec, n, count))
@@ -373,18 +373,27 @@ def test_veech_frames_match_sequential_products(n, count):
 
 @pytest.mark.parametrize("veech", [True, False])
 def test_frames_do_not_depend_on_access_pattern(veech):
+    # the take crosses spans of 4 blocks, which `frames` reads at once
+    # without the generator step; each read below takes another cut
     spec = default_ortho_spec(4, veech=veech)
-    whole = OrthoSequence(spec).take(2000)
+    total = 12 * BLOCK + 7
+    whole = OrthoSequence(spec).take(total)
+    blocks = OrthoSequence(spec)
+    assert np.array_equal(np.concatenate([blocks.frames(lo, min(BLOCK, total + 1 - lo))
+                                          for lo in range(1, total + 1, BLOCK)]), whole)
     seq = OrthoSequence(spec)
-    cuts = [1, BLOCK - 3, BLOCK + 5, 2 * BLOCK + 1, 3 * BLOCK - 1, 2001]
+    cuts = [1, BLOCK - 3, BLOCK + 5, 2 * BLOCK + 1, 3 * BLOCK - 1,
+            4 * BLOCK, 4 * BLOCK + 2, 8 * BLOCK + 1, total + 1]
     parts = [seq.frames(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
     assert np.array_equal(np.concatenate(parts), whole)
     # backwards, on the same sequence and on fresh ones
-    for m in (BLOCK + 1, BLOCK, BLOCK - 1, 1, 2000, BLOCK + 1):
+    for m in (BLOCK + 1, BLOCK, BLOCK - 1, 1, 2000, 4 * BLOCK + 1, 4 * BLOCK, 4 * BLOCK - 1,
+              8 * BLOCK, 8 * BLOCK + 1, total, BLOCK + 1):
         assert np.array_equal(seq.element(m), whole[m - 1])
         assert np.array_equal(OrthoSequence(spec).element(m), whole[m - 1])
     assert np.array_equal(seq.frames(BLOCK - 10, 30), whole[BLOCK - 11 : BLOCK + 19])
-    assert np.array_equal(np.stack(list(islice(iter(seq), 1100))), whole[:1100])
+    assert np.array_equal(seq.frames(4 * BLOCK - 10, 30), whole[4 * BLOCK - 11 : 4 * BLOCK + 19])
+    assert np.array_equal(np.stack(list(islice(iter(seq), total))), whole)
     assert seq.frames(7, 0).shape == (0, 4, 4)
     with pytest.raises(ValueError):
         seq.frames(0, 3)
@@ -468,20 +477,21 @@ def test_repair_count_counts_each_repaired_frame(monkeypatch):
 
 def test_repair_count_counts_a_table_row_once(monkeypatch):
     # without the generator step at n = 4, with every frame over the
-    # tolerance: block 0 (b <= 23) grows the level-3 table to rows 1..23,
-    # block 1 (b <= 32) doubles it to rows 1..47, and each top-level frame
-    # counts each time it is computed, as does a far row, read directly
+    # tolerance: indices 1..2 BLOCK are read as one span, whose largest b
+    # (32) grows the level-3 table once, to rows 1..32; reading them again
+    # finds those rows in the table; each top-level frame counts each time
+    # it is computed, as does a far row, read directly
     spec = default_ortho_spec(4, veech=False)
     plain = OrthoSequence(spec).take(2 * BLOCK)
     monkeypatch.setattr(orthogonal, "_REPAIR_TOL", -1.0)
     seq = OrthoSequence(spec)
     frames = seq.take(2 * BLOCK)
-    assert seq.repair_count == 2 * BLOCK + 47
+    assert seq.repair_count == 2 * BLOCK + 32
     assert np.abs(frames - plain).max() < 1e-13
     seq.take(2 * BLOCK)
-    assert seq.repair_count == 4 * BLOCK + 47
+    assert seq.repair_count == 4 * BLOCK + 32
     seq.element(10**9)  # the frame and its level-3 row b = 31 623, which is far
-    assert seq.repair_count == 4 * BLOCK + 47 + 2
+    assert seq.repair_count == 4 * BLOCK + 32 + 2
 
 
 def reflection_times_block(x, h):

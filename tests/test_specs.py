@@ -1,4 +1,6 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,8 @@ import udortho
 from udortho.estimator import ExperimentSpec
 from udortho.lowdisc import SequenceSpec
 from udortho.orthogonal import OrthoSequenceSpec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # The settable fields of each spec, in positional order.  Everything else
 # about a run is derived from them, so a setting added back (an index
@@ -39,3 +43,24 @@ def test_public_names_are_the_documented_set():
     assert len(udortho.__all__) == len(set(udortho.__all__))
     assert set(udortho.__all__) == PUBLIC
     assert all(hasattr(udortho, name) for name in udortho.__all__)
+
+
+# Spellings that exist only from numpy 2.0: the matrix-transpose attributes
+# and the array-API aliases added then.  pyproject.toml declares numpy >= 1.24,
+# where each of them raises AttributeError.
+NUMPY2_ONLY = re.compile(
+    r"\.m[TH]\b"
+    r"|\bnp\.(concat|permute_dims|matrix_transpose|vecdot|matvec|vecmat|pow|acos|asin|"
+    r"atan2?|acosh|asinh|atanh|unique_(values|counts|inverse|all)|isdtype|"
+    r"bitwise_(left_shift|right_shift|invert)|cumulative_(sum|prod))\b"
+    r"|\bnp\.linalg\.(matrix_transpose|vecdot|matrix_norm|vector_norm|svdvals|diagonal|"
+    r"trace|outer|cross|matmul|tensordot)\b")
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "udortho").glob("*.py")), ids=lambda p: p.name)
+def test_sources_keep_the_declared_numpy_floor(path):
+    floor = re.search(r'"numpy>=([\d.]+)"', (SRC.parent / "pyproject.toml").read_text())
+    assert floor and floor.group(1) == "1.24"
+    found = [(i, line.strip()) for i, line in enumerate(path.read_text().splitlines(), 1)
+             if NUMPY2_ONLY.search(line)]
+    assert not found, f"numpy >= 2.0 spellings in {path.name}: {found}"
