@@ -10,9 +10,9 @@ which drive Crofton-type estimates of intrinsic volumes of polytopes next
 to a Haar-random baseline.
 
 Each stage has one batched path: `points` (cube), `sphere_points` (sphere),
-`OrthoSequence.frames` (O(n)) and `beta_k` (G(n, k), which maps a stack of
-frames to a `Subspace` holding their checked orthonormal bases); `run`
-reads frames a block at a time.
+`OrthoSequence.frames` (O(n)) and `beta_k` (G(n, k), which maps one frame
+or a stack to a `Subspace` holding a checked copy of their first k columns);
+`run` reads frames a block at a time.
 `point_at` and `sphere_sequence` are one-index delegates, kept because the
 benchmark's tracer binds them.  The cube points are scrambled Halton read
 from index 1, so (n, seed) alone chooses them.  The estimate modes are

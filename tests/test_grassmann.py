@@ -171,6 +171,44 @@ def test_beta_k_copies_its_columns():
     assert sub.basis[0, 0] == 1.0
 
 
+def test_subspace_keeps_its_own_copy():
+    # a write to the caller's array after the check must not reach the basis
+    for b in (np.eye(4)[:, :2].copy(), np.stack([np.eye(4)[:, :2]] * 3)):
+        sub = Subspace(b)
+        b[:] = 7.0
+        assert np.array_equal(sub.basis, np.broadcast_to(np.eye(4)[:, :2], b.shape))
+        assert sub.basis.flags.writeable
+
+
+def as_layout(frames: np.ndarray, layout: str) -> np.ndarray:
+    if layout == "fortran":
+        return np.asfortranarray(frames)
+    if layout == "reversed":  # a view with a negative column stride
+        return frames[..., ::-1]
+    if layout == "integer":  # signed permutation matrices
+        rng = np.random.default_rng(0)
+        n = frames.shape[-1]
+        return np.stack([np.eye(n, dtype=int)[rng.permutation(n)] * rng.choice([-1, 1], n)
+                         for _ in frames])
+    view = frames.view()  # read-only, as the Veech blocks are
+    view.flags.writeable = False
+    return view
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+@pytest.mark.parametrize("layout", ["fortran", "reversed", "integer", "readonly"])
+def test_any_frame_layout_gives_a_fresh_float_basis(layout, stacked):
+    frames = as_layout(frames_of("qmc", 4, 20), layout)
+    g = frames if stacked else frames[7]
+    for k in (1, 2, 3):
+        expected = np.asarray(g, float)[..., :k]
+        for sub in (beta_k(g, k), Subspace(g[..., :k])):
+            assert sub.basis.dtype == np.float64
+            assert np.array_equal(sub.basis, expected)
+            assert not np.shares_memory(sub.basis, g)
+            assert sub.basis.flags.writeable
+
+
 def test_orthonormality_tolerance_is_entrywise():
     # Gram matrix I + a (all four entries): the sum of squares 4 a^2 is above
     # tol^2, so the fast accept fails and the entrywise defect must accept a

@@ -1,3 +1,4 @@
+import ast
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -64,3 +65,14 @@ def test_sources_keep_the_declared_numpy_floor(path):
     found = [(i, line.strip()) for i, line in enumerate(path.read_text().splitlines(), 1)
              if NUMPY2_ONLY.search(line)]
     assert not found, f"numpy >= 2.0 spellings in {path.name}: {found}"
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "udortho").glob("*.py")), ids=lambda p: p.name)
+def test_sources_parse_at_the_declared_python_floor(path):
+    # the tests run on a newer Python than the floor, where syntax added
+    # after it (an except* clause) would pass unseen; this checks syntax
+    # only.  The floor is read with a regex, as tomllib is Python 3.11+.
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject)
+    assert floor and floor.groups() == ("3", "10")
+    ast.parse(path.read_text(), filename=path.name, feature_version=tuple(map(int, floor.groups())))
