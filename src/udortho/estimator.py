@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
@@ -29,12 +28,13 @@ from .geometry import (
     intrinsic_volume,
     projection_measure,
 )
+from .lowdisc import check_integer
 from .orthogonal import BLOCK, OrthoSequence, OrthoSequenceSpec, random_ortho_batch
 
 MODES = ("random", "qmc", "qmc-noveech")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to reproduce one estimation run bit for bit.
 
@@ -42,7 +42,8 @@ class ExperimentSpec:
     digit scrambling (`permutation_seed`) of the quasi modes, whose level
     layout is `OrthoSequenceSpec`'s.  `trace_points` are the sample counts
     at which the running mean is recorded, (N,) by default.  n, k, N, the
-    seed and the trace points must be integers (not booleans), seed >= 0.
+    seed and the trace points must be integers (not booleans), seed >= 0,
+    and are stored as ints.
     """
 
     polytope: Polytope
@@ -54,13 +55,10 @@ class ExperimentSpec:
     trace_points: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        self.trace_points = tuple(self.trace_points) or (self.N,)
-        for name, value in (("n", self.n), ("k", self.k), ("N", self.N), ("seed", self.seed),
-                            *(("trace point", t) for t in self.trace_points)):
-            if not isinstance(value, Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("n", 1), ("k", 1), ("N", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), low))
+        trace = tuple(check_integer("trace point", t, 1) for t in self.trace_points)
+        object.__setattr__(self, "trace_points", trace or (self.N,))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 1 <= self.k <= self.n - 1:
@@ -73,11 +71,9 @@ class ExperimentSpec:
             raise ValueError(
                 f"polytope lives in R^{self.polytope.n}, experiment in R^{self.n}"
             )
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
         if list(self.trace_points) != sorted(set(self.trace_points)):
             raise ValueError("trace points must be strictly increasing")
-        if self.trace_points[0] < 1 or self.trace_points[-1] > self.N:
+        if self.trace_points[-1] > self.N:
             raise ValueError("trace points must lie in 1..N")
 
     def ortho_spec(self) -> OrthoSequenceSpec:

@@ -41,8 +41,6 @@ _FLAT_REL_TOL = 1e-12
 # `intrinsic_volume`.
 _FACET_TOL = 1e-9
 
-BUILTIN_LABELS = ("3-cube", "3-simplex", "k-icosahedron", "4-cube", "4-simplex")
-
 
 @dataclass
 class Polytope:
@@ -87,20 +85,24 @@ def _kirkman_icosahedron() -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+_BUILTIN: dict[str, tuple[int, Callable[[], np.ndarray]]] = {
+    "3-cube": (3, lambda: _cube(3)),
+    "3-simplex": (3, lambda: _simplex(3)),
+    "k-icosahedron": (3, _kirkman_icosahedron),
+    "4-cube": (4, lambda: _cube(4)),
+    "4-simplex": (4, lambda: _simplex(4)),
+}
+
+
 def builtin(label: str) -> Polytope:
     """Catalog polytope by label: unit cubes, standard simplices, and the
     20-vertex Kirkman icosahedron."""
-    if label == "3-cube":
-        return Polytope(3, _cube(3), label)
-    if label == "4-cube":
-        return Polytope(4, _cube(4), label)
-    if label == "3-simplex":
-        return Polytope(3, _simplex(3), label)
-    if label == "4-simplex":
-        return Polytope(4, _simplex(4), label)
-    if label == "k-icosahedron":
-        return Polytope(3, _kirkman_icosahedron(), label)
-    raise ValueError(f"unknown polytope label {label!r}")
+    try:
+        n, vertices = _BUILTIN[label]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        known = ", ".join(_BUILTIN)
+        raise ValueError(f"unknown polytope label {label!r}; known: {known}") from None
+    return Polytope(n, vertices(), label)
 
 
 def random_spherical_polytope(n: int, count: int, seed: int) -> Polytope:

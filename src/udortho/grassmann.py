@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from numbers import Integral
 
 import numpy as np
+
+from .lowdisc import check_integer
 
 _ORTHO_TOL = 1e-10
 _FLOAT = np.dtype(float)
@@ -94,9 +95,7 @@ def beta_k(g: np.ndarray, k: int) -> Subspace:
     shape = g.shape
     if len(shape) < 2 or shape[-2] != shape[-1]:
         raise ValueError(f"need square orthogonal matrices, got shape {shape}")
-    # a plain int skips the Integral check, a tenth of a one-frame call
-    if type(k) is not int and (isinstance(k, bool) or not isinstance(k, Integral)):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= shape[-1] - 1:
+    k = check_integer("k", k, 1)
+    if k > shape[-1] - 1:
         raise ValueError(f"need 1 <= k <= n-1, got n={shape[-1]}, k={k}")
     return _checked(g[..., :k].copy(), object.__new__(Subspace))

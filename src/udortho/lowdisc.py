@@ -9,6 +9,9 @@ delegate because the benchmark's tracer binds that name.
 The one sequence is digit-scrambled Halton, read from index 1 so that the
 origin never appears.  A seed whose permutations are all the identity gives
 plain Halton, whose one-dimensional case in base b is van der Corput's.
+
+`check_integer` is the package's one rule for integer arguments (indices,
+counts, dimensions, seeds and bases): every module that takes one calls it.
 """
 
 from __future__ import annotations
@@ -41,18 +44,24 @@ def first_primes(count: int) -> list[int]:
     return primes
 
 
-def _check_integer(name: str, value) -> None:
-    if not isinstance(value, Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_integer(name: str, value, low: int) -> int:
+    """`value` as a Python int, refused with ValueError unless it is an
+    integer (a numpy integer passes; a boolean is not 0 or 1, and a fraction
+    or a float is not truncated) and at least `low`."""
+    if type(value) is not int:
+        if not isinstance(value, Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return value
 
 
 def check_range(start, count) -> None:
-    """Refuse a range of 1-based indices unless start >= 1 and count >= 0
-    are integers: a fraction is not truncated and a boolean is not 0 or 1."""
-    for name, value, low in (("start", start, 1), ("count", count, 0)):
-        _check_integer(name, value)
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+    """Refuse a range of 1-based indices unless `check_integer` takes
+    start >= 1 and count >= 0."""
+    check_integer("start", start, 1)
+    check_integer("count", count, 0)
 
 
 @lru_cache(maxsize=None)
@@ -90,23 +99,14 @@ class SequenceSpec:
     permutation_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, value in (("dims", self.dims), ("permutation_seed", self.permutation_seed),
-                            *(("base", b) for b in self.bases)):
-            _check_integer(name, value)
-        # numpy integers would overflow in the scrambling hash
-        for name in ("dims", "permutation_seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if self.dims < 1:
-            raise ValueError(f"dims must be >= 1, got {self.dims}")
-        if self.permutation_seed < 0:
-            raise ValueError("permutation_seed must be >= 0")
-        bases = self.bases or tuple(first_primes(self.dims))
-        object.__setattr__(self, "bases", tuple(int(b) for b in bases))
-        if len(self.bases) != self.dims:
-            raise ValueError(f"need {self.dims} bases, got {len(self.bases)}")
-        for b in self.bases:
-            if b < 2:
-                raise ValueError(f"bases must be >= 2, got {b}")
+        # stored as ints: numpy integers would overflow in the scrambling hash
+        for name, low in (("dims", 1), ("permutation_seed", 0)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), low))
+        bases = (tuple(check_integer("base", b, 2) for b in self.bases)
+                 or tuple(first_primes(self.dims)))
+        object.__setattr__(self, "bases", bases)
+        if len(bases) != self.dims:
+            raise ValueError(f"need {self.dims} bases, got {len(bases)}")
         for i, a in enumerate(self.bases):
             for b in self.bases[i + 1 :]:
                 if gcd(a, b) != 1:

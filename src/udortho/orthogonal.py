@@ -39,13 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 from math import isqrt
-from numbers import Integral
 from typing import Iterator
 
 import numpy as np
 
 from . import udsg
-from .lowdisc import SequenceSpec, check_range, first_primes, points
+from .lowdisc import SequenceSpec, check_integer, check_range, first_primes, points
 from .sphere import input_dims, sphere_points
 
 # Indices per block of the sequence, and frames per block of `estimator.run`.
@@ -141,8 +140,7 @@ def convolution_index(m: int) -> tuple[int, int]:
     (k, i) and even offsets give (i, k); the first k^2 indices enumerate
     {1..k} x {1..k} exactly once.
     """
-    if m < 1:
-        raise ValueError(f"index must be >= 1, got {m}")
+    m = check_integer("index", m, 1)
     k = isqrt(m - 1) + 1
     d = m - (k - 1) ** 2
     if d % 2 == 1:
@@ -210,8 +208,7 @@ class OrthoSequenceSpec:
     sphere_specs: tuple[SequenceSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, Integral) or isinstance(self.n, bool) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", check_integer("n", self.n, 2))
         if not isinstance(self.veech, bool):
             raise ValueError(f"veech must be a bool, got {self.veech!r}")
         dims = [2] + [input_dims(i) for i in range(3, self.n + 1)]
@@ -285,8 +282,8 @@ def _scan(p: np.ndarray) -> None:
 class OrthoSequence:
     """Streaming view of the O(n) sequence defined by a spec.
 
-    `frames(start, count)` reads any range (1-based) and `take`, `element`
-    and iteration are built on it.  Work is done a grid block of BLOCK
+    `frames(start, count)` reads any range (1-based) and `take` and
+    `element` are built on it.  Work is done a grid block of BLOCK
     indices at a time; `frames` reads the top level one block at a time with
     the generator step on and _SPAN_BLOCKS blocks at a time with it off.
     Each level from 3 up keeps prefix tables of its sphere points and its
@@ -336,12 +333,6 @@ class OrthoSequence:
     def take(self, count: int) -> np.ndarray:
         """Elements 1..count stacked into a (count, n, n) array."""
         return self.frames(1, count)
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        lo = 1
-        while True:
-            yield from self.frames(lo, BLOCK)
-            lo += BLOCK
 
     def _level(self, lvl: int, m: int) -> np.ndarray:
         # element m of level lvl; the benchmark's tracer binds this name
@@ -437,10 +428,8 @@ def random_ortho_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarr
     bit stream in order, so `count` = a then b from one generator gives the
     frames of one draw of a + b.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    n = check_integer("n", n, 2)
+    count = check_integer("count", count, 0)
     z = rng.standard_normal((count, n * (n + 1) // 2))
     g = _o2_batch(np.arctan2(z[:, 1], z[:, 0]), np.where(z[:, 2] < 0.0, 1.0, -1.0))
     for lvl in range(3, n + 1):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lowdisc import SequenceSpec, points
+from .lowdisc import SequenceSpec, check_integer, points
 
 # Keeps -log(p) finite; 1 - 2^-53 is the largest double below 1.
 _CLAMP = 2.0**-53
@@ -20,8 +20,7 @@ _CLAMP = 2.0**-53
 
 def input_dims(n: int) -> int:
     """Cube dimension consumed per point of S^(n-1): n rounded up to even."""
-    if n < 2:
-        raise ValueError(f"sphere ambient dimension must be >= 2, got {n}")
+    n = check_integer("sphere ambient dimension", n, 2)
     return n if n % 2 == 0 else n + 1
 
 

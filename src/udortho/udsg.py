@@ -20,6 +20,8 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
+from .lowdisc import check_integer
+
 T = TypeVar("T")
 
 # Champernowne integers turned into digits per vectorized step of `gap_blocks`,
@@ -39,10 +41,8 @@ def champernowne_digit(i: int) -> int:
     integers (9 * k * 10^(k-1) digits each), so any position is reachable
     without materializing the expansion.
     """
-    if i < 1:
-        raise ValueError(f"position must be >= 1, got {i}")
+    rem = check_integer("position", i, 1)
     k = 1
-    rem = i
     while rem > 9 * k * 10 ** (k - 1):
         rem -= 9 * k * 10 ** (k - 1)
         k += 1
@@ -59,8 +59,7 @@ def gap_blocks(size: int) -> Iterator[np.ndarray]:
     one divmod by 10 per column, and the positions of the digit 5 in it are
     the occurrences.
     """
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    size = check_integer("size", size, 1)
     parts, have = [], 0  # gaps not yet yielded
     prev = 1  # position of the last occurrence
     read = 0  # digits read so far
@@ -88,9 +87,7 @@ def gap_blocks(size: int) -> Iterator[np.ndarray]:
 
 def r_sequence(count: int) -> list[int]:
     """First `count` gaps of the occurrence sequence."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return next(gap_blocks(count)).tolist()
+    return next(gap_blocks(check_integer("count", count, 1))).tolist()
 
 
 def occurrence_positions(count: int) -> list[int]:

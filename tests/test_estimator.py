@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ def test_spec_refuses_bad_seeds(key, value, message):
     # a boolean seed is not seed 1, and a bad seed fails here, not inside run()
     with pytest.raises(ValueError, match=f"^{key} {message}"):
         ExperimentSpec(builtin("3-cube"), 3, 1, 10, "qmc", **{key: value})
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ExperimentSpec)])
+def test_spec_is_frozen(name):
+    # a field written after validation would skip its checks: mode = "bogus"
+    # would run qmc-noveech, and N below a trace point would drop the trace
+    spec = ExperimentSpec(builtin("3-cube"), 3, 1, 100)
+    with pytest.raises(FrozenInstanceError):
+        setattr(spec, name, getattr(spec, name))
 
 
 def test_spec_takes_numpy_integers():

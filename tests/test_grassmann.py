@@ -260,7 +260,7 @@ def test_subspace_is_immutable():
 
 @pytest.mark.parametrize("k", [True, False, 2.0, 1.5, np.float64(2.0), np.bool_(True), "2", None], ids=repr)
 def test_beta_k_refuses_a_non_integer_k(k):
-    # the rule of lowdisc.check_range: a boolean is not 0 or 1, and a float
+    # the rule of lowdisc.check_integer: a boolean is not 0 or 1, and a float
     # is refused rather than truncated or passed on to the slice
     with pytest.raises(ValueError, match="k must be an integer"):
         beta_k(np.eye(4), k)

@@ -67,6 +67,22 @@ def test_sources_keep_the_declared_numpy_floor(path):
     assert not found, f"numpy >= 2.0 spellings in {path.name}: {found}"
 
 
+# The integer rule for arguments (an integer, not a boolean, not a truncated
+# float) is spelled once, in lowdisc.check_integer, which every other module
+# calls.  The patterns match the code, not the word: geometry cites Schneider
+# and Weil's "Integral Geometry", and its load_polytope keeps its own JSON
+# rule (a Real that is integral, so 3.0 passes).
+INTEGER_RULE = (re.compile(r"isinstance\(.*\bIntegral\b"),
+                re.compile(r"^\s*from numbers import .*\bIntegral\b", re.M))
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "udortho").glob("*.py")), ids=lambda p: p.name)
+def test_only_lowdisc_spells_the_integer_rule(path):
+    text = path.read_text()
+    found = [bool(pattern.search(text)) for pattern in INTEGER_RULE]
+    assert found == [path.name == "lowdisc.py"] * 2, f"Integral test or import in {path.name}"
+
+
 @pytest.mark.parametrize("path", sorted((SRC / "udortho").glob("*.py")), ids=lambda p: p.name)
 def test_sources_parse_at_the_declared_python_floor(path):
     # the tests run on a newer Python than the floor, where syntax added

@@ -24,6 +24,9 @@ def test_champernowne_leading_digits():
 def test_champernowne_rejects_bad_position():
     with pytest.raises(ValueError):
         champernowne_digit(0)
+    for i in (2.5, 3.0, True):  # a float is not truncated, and True is not position 1
+        with pytest.raises(ValueError, match="must be an integer"):
+            champernowne_digit(i)
 
 
 def test_champernowne_against_concatenation():
@@ -109,3 +112,7 @@ def test_gap_blocks_match_r_sequence(window, champernowne_positions):
 def test_gap_blocks_validation():
     with pytest.raises(ValueError):
         next(gap_blocks(0))
+    with pytest.raises(ValueError, match="must be an integer"):
+        next(gap_blocks(True))
+    with pytest.raises(ValueError, match="must be an integer"):
+        r_sequence(2.0)
